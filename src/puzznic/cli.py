@@ -34,7 +34,21 @@ def _fail(msg: str) -> int:
     return EXIT_ERROR
 
 
+_MINIMUM = {"max_moves": 0, "time_limit": 0, "timeout": 0, "workers": 1}
+
+
+def _out_of_range(**values) -> str | None:
+    """An error message for the first option below its minimum, if any."""
+    for name, value in values.items():
+        if value is not None and not value >= _MINIMUM[name]:  # also rejects nan
+            return f"--{name.replace('_', '-')} must be >= {_MINIMUM[name]}, got {value}"
+    return None
+
+
 def cmd_solve(args) -> int:
+    bad = _out_of_range(max_moves=args.max_moves, time_limit=args.time_limit)
+    if bad:
+        return _fail(bad)
     try:
         lf = levels.load_level(args.level, pre_resolve=args.pre_resolve)
     except (LevelError, OSError) as exc:
@@ -79,7 +93,11 @@ def cmd_encode(args) -> int:
 
 def _replay(level_path, plan_path):
     lf = levels.load_level(level_path)
-    plan = levels.parse_plan(pathlib.Path(plan_path).read_text(encoding="utf-8"))
+    try:
+        text = pathlib.Path(plan_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LevelError(f"{plan_path}: plan is not UTF-8 text ({exc.reason})") from None
+    plan = levels.parse_plan(text)
     state = QuiescentState(lf.grid)
     events = []
     for index, move in enumerate(plan, start=1):
@@ -197,6 +215,11 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
 
 
 def cmd_bench(args) -> int:
+    bad = _out_of_range(
+        max_moves=args.max_moves, timeout=args.timeout, workers=args.workers
+    )
+    if bad:
+        return _fail(bad)
     corpus_dir = pathlib.Path(args.corpus) if args.corpus else _BUNDLED
     paths = sorted(corpus_dir.glob("*.txt"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

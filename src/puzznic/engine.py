@@ -6,11 +6,16 @@ left or right into an empty cell; gravity then settles every column, and any
 block with an orthogonal same-pattern neighbour is removed.  Removals repeat
 (settle, match, settle, ...) until the grid is quiescent.  All values here
 are immutable and every operation is a pure function.
+
+`Grid`, `QuiescentState` and `Trace` are the validated public boundary.
+Search runs on `Board`, a trusted bitmask form of the same rules that is
+built once per level and validates nothing per state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -308,12 +313,179 @@ def is_dead_end(grid: Grid) -> bool:
 
 
 def state_key(grid: Grid) -> bytes:
-    """Deterministic 128-bit digest of a grid, stable across processes."""
+    """Deterministic 128-bit digest of a grid, stable across processes.
+
+    The encoder records it in its metadata; search keys states on `Board`
+    mask tuples instead.
+    """
     h = hashlib.blake2b(digest_size=16)
     h.update(bytes((grid.height, grid.width)))
     for row in grid.cells:
         h.update(bytes(v + 1 for v in row))  # shift WALL=-1 into byte range
     return h.digest()
+
+
+class Board:
+    """Trusted bitmask rules for one level, for search.
+
+    A search state is a tuple of Python ints, one mask per pattern id in
+    `patterns`, over a row-major H x W bit layout that includes the
+    perimeter: 1-based cell (r, c) is bit (r - 1) * W + (c - 1).  The wall
+    perimeter is never in a pattern mask, so no shift by one column or row
+    carries a block across a row edge or out of the grid.  Walls and the
+    pattern ids are fixed by the validated root grid; the methods trust
+    their mask input and validate nothing, so only masks from `encode` or
+    `successors` of the same board may be passed in.  The result equals
+    the `Grid` path: `decode` of each successor is `apply_move`'s state.
+    """
+
+    def __init__(self, grid: Grid):
+        self.width = w = grid.width
+        self.height = h = grid.height
+        self.walls = 0
+        patterns = set()
+        for r in range(h):
+            for c, v in enumerate(grid.cells[r]):
+                if v == WALL:
+                    self.walls |= 1 << (r * w + c)
+                elif v > EMPTY:
+                    patterns.add(v)
+        self.patterns = tuple(sorted(patterns))
+        self._open = ((1 << (h * w)) - 1) & ~self.walls
+        # One Move per open cell and direction, so search allocates none.
+        self._moves = {
+            (r - 1) * w + (c - 1): (Move(r, c, LEFT), Move(r, c, RIGHT))
+            for r, c in grid.interior()
+            if grid.at(r, c) != WALL
+        }
+
+    def encode(self, grid: Grid) -> tuple[int, ...]:
+        """The mask tuple of a grid with this board's walls and patterns."""
+        masks = dict.fromkeys(self.patterns, 0)
+        w = self.width
+        for r, row in enumerate(grid.cells):
+            for c, v in enumerate(row):
+                if v > EMPTY:
+                    masks[v] |= 1 << (r * w + c)
+        return tuple(masks.values())
+
+    def decode(self, masks: tuple[int, ...]) -> Grid:
+        """The grid a mask tuple stands for."""
+        w = self.width
+        cells = [
+            [WALL if self.walls >> (r * w + c) & 1 else EMPTY for c in range(w)]
+            for r in range(self.height)
+        ]
+        for pid, m in zip(self.patterns, masks):
+            while m:
+                low = m & -m
+                r, c = divmod(low.bit_length() - 1, w)
+                cells[r][c] = pid
+                m ^= low
+        return Grid(tuple(tuple(row) for row in cells))
+
+    def resolve(self, masks: list[int]) -> tuple[int, ...]:
+        """Cascade fixpoint on masks: gravity to rest, remove matches, repeat.
+
+        Gravity drops, one row per step, every block whose cell below holds
+        neither a wall nor a block; steps repeat until nothing moves.  A
+        block matches when its right or lower neighbour holds the same
+        pattern; both cells of each such pair go.  `masks` is overwritten.
+        """
+        w, walls = self.width, self.walls
+        n = len(masks)
+        blocks = 0
+        for m in masks:
+            blocks |= m
+        while True:
+            fall = blocks & ~((walls | blocks) >> w)
+            while fall:
+                for k in range(n):
+                    f = masks[k] & fall
+                    if f:
+                        masks[k] ^= f | f << w
+                blocks ^= fall | fall << w
+                fall = blocks & ~((walls | blocks) >> w)
+            matched = 0
+            for k in range(n):
+                m = masks[k]
+                hz = m & m >> 1
+                vt = m & m >> w
+                if hz or vt:
+                    gone = hz | hz << 1 | vt | vt << w
+                    masks[k] = m ^ gone
+                    matched |= gone
+            if not matched:
+                return tuple(masks)
+            blocks ^= matched
+
+    def successors(self, masks: tuple[int, ...]) -> Iterator[tuple[Move, tuple[int, ...]]]:
+        """(move, resolved child masks) for each legal move, in `legal_moves` order."""
+        blocks = 0
+        for m in masks:
+            blocks |= m
+        free = self._open & ~blocks
+        left = blocks & free << 1
+        right = blocks & free >> 1
+        movers = left | right
+        while movers:
+            low = movers & -movers
+            movers ^= low
+            k = 0
+            while not masks[k] & low:
+                k += 1
+            to_left, to_right = self._moves[low.bit_length() - 1]
+            if left & low:
+                child = list(masks)
+                child[k] ^= low | low >> 1
+                yield to_left, self.resolve(child)
+            if right & low:
+                child = list(masks)
+                child[k] ^= low | low << 1
+                yield to_right, self.resolve(child)
+
+    @staticmethod
+    def is_goal(masks: tuple[int, ...]) -> bool:
+        """True iff no block is left (`is_goal` on masks)."""
+        return not any(masks)
+
+    @staticmethod
+    def is_dead_end(masks: tuple[int, ...]) -> bool:
+        """True iff some pattern has exactly one block (`is_dead_end` on masks)."""
+        return 1 in map(int.bit_count, masks)
+
+    def column_gap(self, masks: tuple[int, ...]) -> float:
+        """Admissible lower bound on the moves left; inf for dead ends.
+
+        For each pattern with two or more blocks, the closest pair must end
+        up in the same or adjacent columns before anything of that pattern
+        can match, which costs at least (gap - 1) moves.  Gravity and
+        matching never change columns, and each move affects a single
+        pattern, so the sum over patterns is still a lower bound.
+        """
+        w, h = self.width, self.height
+        row = (1 << w) - 1
+        total = 0
+        for m in masks:
+            n = m.bit_count()
+            if n == 0:
+                continue
+            if n == 1:
+                return math.inf
+            # Fold every row onto the first: bit c-1 is set iff column c
+            # holds a block of this pattern.
+            cols, span = m, w
+            while span < h * w:
+                cols |= cols >> span
+                span *= 2
+            cols &= row
+            if cols.bit_count() < n:
+                continue  # two blocks share a column: gap 0
+            gap = 1
+            while not cols & cols >> gap:
+                gap += 1
+            total += gap - 1
+        return total
 
 
 def verify_trace(trace: Trace) -> bool:

@@ -31,10 +31,6 @@ class LevelError(Exception):
     """Base class for level/plan format diagnostics."""
 
 
-class RaggedRows(LevelError):
-    """Rows of irreconcilable lengths (unused: short rows are wall-padded)."""
-
-
 class BadChar(LevelError):
     def __init__(self, row: int, col: int, char: str):
         super().__init__(f"bad character {char!r} at row {row}, column {col}")
@@ -156,7 +152,11 @@ def load_level(path, pre_resolve: bool = False) -> LevelFile:
     import pathlib
 
     p = pathlib.Path(path)
-    return parse_level(p.read_text(encoding="utf-8"), name=p.stem, pre_resolve=pre_resolve)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LevelError(f"{p}: level is not UTF-8 text ({exc.reason})") from None
+    return parse_level(text, name=p.stem, pre_resolve=pre_resolve)
 
 
 def emit_level(grid: Grid, symbols: Mapping[str, int] | None = None) -> str:

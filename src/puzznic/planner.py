@@ -1,18 +1,23 @@
 """Optimal forward search over quiescent states, minimizing player moves.
 
 Matches and falls are free: the cost of a plan is the number of moves.  All
-three algorithms (bfs, astar, iddfs) return minimum-move plans.  Search is
-pruned by duplicate detection on state digests, by the singleton-pattern
-dead-end rule, and (for astar) by an admissible lower bound built from
-horizontal distances: a pattern whose closest pair of blocks is k columns
-apart needs at least k-1 moves before its first match, and every move
-shifts one block of one pattern by one column.
+three algorithms (bfs, astar, iddfs) return minimum-move plans.  They search
+on the engine's trusted mask path: the root `Grid` is validated once and
+turned into an `engine.Board`, a state is a tuple of per-pattern bitmasks,
+and that tuple is the duplicate-detection key, so no child is built as a
+`Grid`.  The plan found is replayed through `engine.apply_move` for its
+`Trace`.  (`engine.state_key` stays the stable cross-process digest for the
+encoder's metadata; search does not use it.)  Search is pruned by duplicate
+detection, by the singleton-pattern dead-end rule, and (for astar) by an
+admissible lower bound built from horizontal distances: a pattern whose
+closest pair of blocks is k columns apart needs at least k-1 moves before
+its first match, and every move shifts one block of one pattern by one
+column.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,6 +57,7 @@ class SearchStats:
     generated: int = 0
     duplicates: int = 0
     dead_ends: int = 0
+    pruned_bound: int = 0  # A* states cut because g + h exceeds max_moves
     max_frontier: int = 0
     elapsed: float = 0.0
 
@@ -59,7 +65,8 @@ class SearchStats:
         return (
             f"expanded={self.expanded} generated={self.generated} "
             f"duplicates={self.duplicates} dead_ends={self.dead_ends} "
-            f"max_frontier={self.max_frontier} elapsed={self.elapsed:.3f}s"
+            f"pruned_bound={self.pruned_bound} max_frontier={self.max_frontier} "
+            f"elapsed={self.elapsed:.3f}s"
         )
 
 
@@ -95,39 +102,11 @@ class SearchResult:
 def heuristic_column_gap(grid: Grid) -> float:
     """Admissible lower bound on remaining moves; inf for dead ends.
 
-    For each pattern with at least two blocks, the closest pair must end up
-    in the same or adjacent columns before anything of that pattern can
-    match, which costs at least (gap - 1) moves.  Gravity and matching never
-    change columns, and each move affects a single pattern, so the sum over
-    patterns is still a lower bound.
+    This is `engine.Board.column_gap`, the bound astar searches with,
+    applied to one grid.
     """
-    columns: dict[int, list[int]] = {}
-    for r, c in grid.interior():
-        v = grid.at(r, c)
-        if v > engine.EMPTY:
-            columns.setdefault(v, []).append(c)
-    total = 0
-    for cols in columns.values():
-        if len(cols) == 1:
-            return math.inf
-        cols.sort()
-        gap = min(b - a for a, b in zip(cols, cols[1:]))
-        total += max(0, gap - 1)
-    return total
-
-
-def _reconstruct(
-    root: QuiescentState, parents: dict[bytes, tuple[bytes | None, Move | None]], key: bytes
-) -> tuple[Plan, Trace]:
-    moves: list[Move] = []
-    while True:
-        parent, move = parents[key]
-        if parent is None:
-            break
-        moves.append(move)
-        key = parent
-    moves.reverse()
-    return _replay(root, moves)
+    board = engine.Board(grid)
+    return board.column_gap(board.encode(grid))
 
 
 def _replay(root: QuiescentState, moves: list[Move]) -> tuple[Plan, Trace]:
@@ -140,6 +119,8 @@ def _replay(root: QuiescentState, moves: list[Move]) -> tuple[Plan, Trace]:
 
 
 class _Budget:
+    """Deadline check that reads the clock on its first call, then every 64th."""
+
     def __init__(self, time_limit: float | None):
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self._tick = 0
@@ -148,9 +129,9 @@ class _Budget:
         if self.deadline is None:
             return False
         self._tick += 1
-        if self._tick % 64:
+        if self._tick % 64 != 1:
             return False
-        return time.monotonic() > self.deadline
+        return time.monotonic() >= self.deadline
 
 
 def solve(
@@ -167,155 +148,157 @@ def solve(
     """
     if max_moves < 0:
         raise InvalidBound(f"max_moves must be >= 0, got {max_moves}")
-    if algo not in ("bfs", "astar", "iddfs"):
+    search = _SEARCHES.get(algo)
+    if search is None:
         raise ValueError(f"unknown algorithm {algo!r}")
     start = time.monotonic()
     stats = SearchStats()
     budget = _Budget(time_limit)
+    board = engine.Board(state.grid)
+    root = board.encode(state.grid)
 
-    if engine.is_goal(state.grid):
-        plan, trace = _replay(state, [])
-        stats.elapsed = time.monotonic() - start
-        return SearchResult(Solved(plan, trace), stats)
-    if engine.is_dead_end(state.grid):
-        stats.generated = 1  # the root itself
-        stats.dead_ends = 1
-        stats.elapsed = time.monotonic() - start
-        return SearchResult(ProvedUnsolvable(max_moves), stats)
-
-    if algo == "bfs":
-        result = _solve_bfs(state, max_moves, stats, budget)
-    elif algo == "astar":
-        result = _solve_astar(state, max_moves, stats, budget)
+    try:
+        if board.is_goal(root):
+            found = []
+        elif board.is_dead_end(root):
+            stats.generated = stats.dead_ends = 1  # the root itself
+            found = None
+        else:
+            found = search(board, root, max_moves, stats, budget)
+    except _Timeout:
+        outcome = BudgetExhausted()
     else:
-        result = _solve_iddfs(state, max_moves, stats, budget)
-    result.stats.elapsed = time.monotonic() - start
-    return result
+        if found is None:
+            outcome = ProvedUnsolvable(max_moves)
+        else:
+            outcome = Solved(*_replay(state, found))
+    stats.elapsed = time.monotonic() - start
+    return SearchResult(outcome, stats)
 
 
-def _solve_bfs(state, max_moves, stats, budget) -> SearchResult:
-    root_key = engine.state_key(state.grid)
-    parents: dict[bytes, tuple[bytes | None, Move | None]] = {root_key: (None, None)}
-    queue: deque[tuple[QuiescentState, bytes, int]] = deque([(state, root_key, 0)])
-    closed = {root_key}
+# The search loops return the plan's moves, or None when the bounded space is
+# exhausted, and raise _Timeout when the budget bites.  States are
+# `engine.Board` mask tuples, which are also the duplicate-detection keys.
+class _Timeout(Exception):
+    pass
+
+
+def _path(parents: dict, key: tuple) -> list[Move]:
+    moves: list[Move] = []
+    while True:
+        key, move = parents[key]
+        if key is None:
+            break
+        moves.append(move)
+    moves.reverse()
+    return moves
+
+
+def _solve_bfs(board, root, max_moves, stats, budget):
+    parents: dict[tuple, tuple] = {root: (None, None)}
+    queue: deque[tuple[tuple, int]] = deque([(root, 0)])
     while queue:
         stats.max_frontier = max(stats.max_frontier, len(queue))
-        node, key, g = queue.popleft()
+        node, g = queue.popleft()
         if budget.exceeded():
-            return SearchResult(BudgetExhausted(), stats)
-        if engine.is_goal(node.grid):
-            plan, trace = _reconstruct(state, parents, key)
-            return SearchResult(Solved(plan, trace), stats)
+            raise _Timeout
+        if board.is_goal(node):
+            return _path(parents, node)
         if g >= max_moves:
             continue
         stats.expanded += 1
-        for move in engine.legal_moves(node):
-            child, _, _ = engine.apply_move(node, move)
+        for move, child in board.successors(node):
             stats.generated += 1
-            ckey = engine.state_key(child.grid)
-            if ckey in closed:
+            if child in parents:
                 stats.duplicates += 1
                 continue
-            if engine.is_dead_end(child.grid):
+            if board.is_dead_end(child):
                 stats.dead_ends += 1
                 continue
-            closed.add(ckey)
-            parents[ckey] = (key, move)
-            queue.append((child, ckey, g + 1))
-    return SearchResult(ProvedUnsolvable(max_moves), stats)
+            parents[child] = (node, move)
+            queue.append((child, g + 1))
+    return None
 
 
-def _solve_astar(state, max_moves, stats, budget) -> SearchResult:
-    root_key = engine.state_key(state.grid)
-    parents: dict[bytes, tuple[bytes | None, Move | None]] = {root_key: (None, None)}
-    h0 = heuristic_column_gap(state.grid)
+def _solve_astar(board, root, max_moves, stats, budget):
+    h0 = board.column_gap(root)
     if h0 > max_moves:
-        return SearchResult(ProvedUnsolvable(max_moves), stats)
+        stats.pruned_bound += 1
+        return None
+    parents: dict[tuple, tuple] = {root: (None, None)}
     seq = 0
-    heap: list[tuple[float, int, int, bytes, QuiescentState]] = [
-        (h0, 0, seq, root_key, state)
-    ]
-    g_best = {root_key: 0}
-    expanded: set[bytes] = set()
+    heap: list[tuple[float, int, int, tuple]] = [(h0, 0, seq, root)]
+    g_best = {root: 0}
+    expanded: set[tuple] = set()
     while heap:
         stats.max_frontier = max(stats.max_frontier, len(heap))
-        f, neg_g, _, key, node = heapq.heappop(heap)
+        _, neg_g, _, node = heapq.heappop(heap)
         if budget.exceeded():
-            return SearchResult(BudgetExhausted(), stats)
-        if key in expanded:
+            raise _Timeout
+        if node in expanded:
             continue
-        if engine.is_goal(node.grid):
-            plan, trace = _reconstruct(state, parents, key)
-            return SearchResult(Solved(plan, trace), stats)
-        expanded.add(key)
+        if board.is_goal(node):
+            return _path(parents, node)
+        expanded.add(node)
         g = -neg_g
         if g >= max_moves:
             continue
         stats.expanded += 1
-        for move in engine.legal_moves(node):
-            child, _, _ = engine.apply_move(node, move)
+        ng = g + 1
+        for move, child in board.successors(node):
             stats.generated += 1
-            ckey = engine.state_key(child.grid)
-            ng = g + 1
-            if ckey in expanded or ng >= g_best.get(ckey, max_moves + 1):
+            if child in expanded or ng >= g_best.get(child, max_moves + 1):
                 stats.duplicates += 1
                 continue
-            if engine.is_dead_end(child.grid):
+            if board.is_dead_end(child):
                 stats.dead_ends += 1
                 continue
-            h = heuristic_column_gap(child.grid)
+            h = board.column_gap(child)
             if ng + h > max_moves:
+                stats.pruned_bound += 1
                 continue
-            g_best[ckey] = ng
-            parents[ckey] = (key, move)
+            g_best[child] = ng
+            parents[child] = (node, move)
             seq += 1
-            heapq.heappush(heap, (ng + h, -ng, seq, ckey, child))
-    return SearchResult(ProvedUnsolvable(max_moves), stats)
+            heapq.heappush(heap, (ng + h, -ng, seq, child))
+    return None
 
 
-def _solve_iddfs(state, max_moves, stats, budget) -> SearchResult:
-    root_key = engine.state_key(state.grid)
-
-    class _Timeout(Exception):
-        pass
-
-    def dfs(node, key, depth, limit, path, moves):
+def _solve_iddfs(board, root, max_moves, stats, budget):
+    def dfs(node, depth, limit, path, moves):
         if budget.exceeded():
             raise _Timeout
-        if engine.is_goal(node.grid):
+        if board.is_goal(node):
             return list(moves)
         if depth == limit:
             return None
         stats.expanded += 1
         stats.max_frontier = max(stats.max_frontier, depth + 1)
-        for move in engine.legal_moves(node):
-            child, _, _ = engine.apply_move(node, move)
+        for move, child in board.successors(node):
             stats.generated += 1
-            ckey = engine.state_key(child.grid)
-            if ckey in path:
+            if child in path:
                 stats.duplicates += 1
                 continue
-            if engine.is_dead_end(child.grid):
+            if board.is_dead_end(child):
                 stats.dead_ends += 1
                 continue
-            path.add(ckey)
+            path.add(child)
             moves.append(move)
-            found = dfs(child, ckey, depth + 1, limit, path, moves)
+            found = dfs(child, depth + 1, limit, path, moves)
             moves.pop()
-            path.discard(ckey)
+            path.discard(child)
             if found is not None:
                 return found
         return None
 
-    try:
-        for limit in range(0, max_moves + 1):
-            found = dfs(state, root_key, 0, limit, {root_key}, [])
-            if found is not None:
-                plan, trace = _replay(state, found)
-                return SearchResult(Solved(plan, trace), stats)
-    except _Timeout:
-        return SearchResult(BudgetExhausted(), stats)
-    return SearchResult(ProvedUnsolvable(max_moves), stats)
+    for limit in range(0, max_moves + 1):
+        found = dfs(root, 0, limit, {root}, [])
+        if found is not None:
+            return found
+    return None
+
+
+_SEARCHES = {"bfs": _solve_bfs, "astar": _solve_astar, "iddfs": _solve_iddfs}
 
 
 def prove_unsolvable_report(result: SearchResult) -> str:
@@ -329,6 +312,7 @@ def prove_unsolvable_report(result: SearchResult) -> str:
         f"states generated: {s.generated}",
         f"duplicates pruned: {s.duplicates}",
         f"dead ends pruned: {s.dead_ends}",
+        f"bound pruned: {s.pruned_bound}",
     ]
     if s.expanded == 0 and s.dead_ends > 0:
         lines.append("root state is a dead end (a pattern has a single block left)")

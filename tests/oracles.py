@@ -8,6 +8,7 @@ a plain breadth-first search written directly against the engine primitives.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
@@ -48,6 +49,28 @@ def single_action_resolve(grid: Grid) -> tuple[Grid, int]:
             return grid, matches
         grid = engine.remove_matches(grid, matched)
         matches += 1
+
+
+def grid_column_gap(grid: Grid) -> float:
+    """Column-gap lower bound on remaining moves, by a loop over the grid.
+
+    Reference for the planner's bitmask heuristic: per pattern, (gap - 1)
+    for the closest pair of blocks k columns apart, summed; inf when some
+    pattern has a single block.
+    """
+    columns: dict[int, list[int]] = {}
+    for r, c in grid.interior():
+        v = grid.at(r, c)
+        if v > EMPTY:
+            columns.setdefault(v, []).append(c)
+    total = 0
+    for cols in columns.values():
+        if len(cols) == 1:
+            return math.inf
+        cols.sort()
+        gap = min(b - a for a, b in zip(cols, cols[1:]))
+        total += max(0, gap - 1)
+    return total
 
 
 def random_grid(rng: random.Random, max_h: int = 8, max_w: int = 8,

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 from conftest import LEVELS_DIR
 from puzznic import cli, levels
@@ -11,12 +15,51 @@ CORRIDOR = str(LEVELS_DIR / "5x3-desk-corridor.txt")
 SINGLETON = str(LEVELS_DIR / "4x3-desk-singleton.txt")
 SOLVED = str(LEVELS_DIR / "3x3-desk-solved.txt")
 STUB = str(pathlib.Path(__file__).parent / "data" / "stub_solver.py")
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "puzznic.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", A13, "--max-moves", "-1"),
+            ("solve", A13, "--time-limit", "-1"),
+            ("bench", "{tmp}", "--timeout", "-1"),
+            ("bench", "{tmp}", "--workers", "0"),
+        ],
+    )
+    def test_out_of_range_option_exits_one(self, tmp_path, argv):
+        code, _, err = run_process(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_non_utf8_file_exits_one(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe#\n")
+        argv = ("solve", str(bad)) if command == "solve" else ("check", A13, str(bad))
+        code, _, err = run_process(*argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSolve:

@@ -334,6 +334,51 @@ class TestStateKey:
         assert engine.state_key(g).hex() == "32b4f78643aa0b285e9bab3c979a16b4"
 
 
+class TestBoard:
+    """The trusted mask path search runs on, against the Grid path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    def test_resolve_matches_grid_resolve(self, g):
+        board = engine.Board(g)
+        masks = board.encode(g)
+        assert board.decode(masks) == g
+        state, _, _ = engine.resolve(g)
+        assert board.decode(board.resolve(list(masks))) == state.grid
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    def test_successors_match_apply_move(self, g):
+        state, _, _ = engine.resolve(g)
+        board = engine.Board(state.grid)
+        masks = board.encode(state.grid)
+        assert board.is_goal(masks) == engine.is_goal(state.grid)
+        assert board.is_dead_end(masks) == engine.is_dead_end(state.grid)
+        successors = list(board.successors(masks))
+        assert [move for move, _ in successors] == list(engine.legal_moves(state))
+        keyed = []
+        for move, child in successors:
+            expected, _, _ = engine.apply_move(state, move)
+            assert board.decode(child) == expected.grid
+            assert board.encode(expected.grid) == child
+            assert board.is_goal(child) == engine.is_goal(expected.grid)
+            assert board.is_dead_end(child) == engine.is_dead_end(expected.grid)
+            keyed.append((child, engine.state_key(expected.grid)))
+        for a, key_a in keyed:
+            for b, key_b in keyed:
+                assert (a == b) == (key_a == key_b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids(max_h=12, max_w=12))
+    def test_column_gap_matches_grid_reference(self, g):
+        state, _, _ = engine.resolve(g)
+        board = engine.Board(state.grid)
+        masks = board.encode(state.grid)
+        assert board.column_gap(masks) == oracles.grid_column_gap(state.grid)
+        for _, child in board.successors(masks):
+            assert board.column_gap(child) == oracles.grid_column_gap(board.decode(child))
+
+
 class TestQuiescentState:
     def test_rejects_floating_block(self):
         g = empty_grid(5, 5).replace({(2, 3): 1})

@@ -8,11 +8,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from puzznic import engine, planner
+from puzznic import engine, levels, planner
 from puzznic.engine import QuiescentState
 from test_engine import empty_grid, make_grid
 
 ALGOS = ("bfs", "astar", "iddfs")
+
+# The first level of the hard benchmark corpus (optimum 8 moves).
+HARD0 = """\
+########
+#.#....#
+#..G...#
+#.##...#
+#......#
+#G.R..Y#
+#O.OY.G#
+#R.RG.R#
+########
+"""
+
+# Plans and counters the search must reproduce exactly: a change to the
+# successor order, the duplicate rule or the pruning shows up here.
+PINNED = {
+    ("hard0", "astar"): (
+        "7 2 R\n3 4 L\n7 7 L\n7 7 L\n3 3 L\n6 4 L\n8 7 L\n8 4 R\n",
+        dict(expanded=2137, generated=14288, duplicates=9170, dead_ends=223, max_frontier=2698),
+    ),
+    ("hard0", "bfs"): (
+        "3 4 L\n3 3 L\n6 4 R\n6 5 R\n8 2 R\n8 2 R\n8 5 R\n8 5 R\n",
+        dict(expanded=10098, generated=59773, duplicates=44929, dead_ends=662, max_frontier=4087),
+    ),
+    ("5x7-ps1-a13", "astar"): (
+        "3 2 R\n3 4 L\n3 2 R\n3 4 L\n",
+        dict(expanded=50, generated=217, duplicates=67, dead_ends=0, max_frontier=102),
+    ),
+    ("5x7-ps1-a13", "bfs"): (
+        "2 2 R\n2 4 L\n3 2 R\n3 4 L\n",
+        dict(expanded=79, generated=328, duplicates=167, dead_ends=0, max_frontier=84),
+    ),
+}
 
 
 def solved_state() -> QuiescentState:
@@ -132,6 +166,28 @@ class TestSolve:
         result = planner.solve(state, algo="bfs", time_limit=0.0)
         assert isinstance(result.outcome, planner.BudgetExhausted)
 
+    def test_zero_time_limit_stops_a_short_search(self, corpus):
+        # two pops solve the corridor; the budget reads the clock on the first
+        state = QuiescentState(corpus["5x3-desk-corridor"].grid)
+        for algo in ALGOS:
+            result = planner.solve(state, algo=algo, time_limit=0.0)
+            assert isinstance(result.outcome, planner.BudgetExhausted), algo
+
+    @pytest.mark.parametrize("name, algo", sorted(PINNED))
+    def test_pinned_plans_and_counters(self, corpus, name, algo):
+        grid = levels.parse_level(HARD0).grid if name == "hard0" else corpus[name].grid
+        result = planner.solve(QuiescentState(grid), algo=algo)
+        plan, counters = PINNED[name, algo]
+        assert levels.emit_plan(result.outcome.plan.moves) == plan
+        assert {key: getattr(result.stats, key) for key in counters} == counters
+
+    def test_bound_pruning_counted_for_children(self, a13):
+        # optimum 4: at max_moves=4 astar cuts children whose g + h exceeds 4
+        result = planner.solve(QuiescentState(a13.grid), max_moves=4, algo="astar")
+        assert result.outcome.plan.cost == 4
+        assert result.stats.pruned_bound > 0
+        assert f"pruned_bound={result.stats.pruned_bound}" in result.stats.as_text()
+
     def test_stats_invariant(self, corpus):
         for lf in corpus.values():
             result = planner.solve(QuiescentState(lf.grid))
@@ -173,6 +229,7 @@ class TestUnsolvableReport:
         astar = planner.solve(state, max_moves=2, algo="astar")
         assert isinstance(astar.outcome, planner.ProvedUnsolvable)
         assert astar.stats.expanded == 0
+        assert astar.stats.pruned_bound == 1
         bfs = planner.solve(state, max_moves=2, algo="bfs")
         assert isinstance(bfs.outcome, planner.ProvedUnsolvable)
 

@@ -4,12 +4,19 @@ A backend is a callable `(instance, assumptions=(), deadline=None)` that
 returns a model as a bool list indexed by variable, or None when the
 instance is unsatisfiable under the assumptions.
 
-The internal backend runs the bundled CDCL solver and keeps one solver per
-instance alive so that assumption-based optimization reuses learned clauses.
+The internal backend runs the bundled CDCL solver and keeps its last solver
+alive.  A call on the same instance reuses it, so assumption-based
+optimization keeps its learned clauses.  A call on an instance that shares
+the cached `VarMap` and whose clauses begin with the clauses already loaded
+(checked, not assumed) loads only the clauses that follow: this is how the
+fixed-horizon route grows one formula and one solver across horizons,
+assuming each horizon's goal literal.  Any other instance gets a new solver.
+
 The external backend shells out to any DIMACS solver that prints the
 conventional `s SATISFIABLE`/`s UNSATISFIABLE` status and `v` literal lines
-(exit codes 10/20 are also accepted); assumptions are appended to the file
-as unit clauses, so the base CNF is encoded once per horizon either way.
+(exit codes 10/20 are also accepted).  It is given the whole instance on
+every call, with the assumptions appended as unit clauses, so it solves the
+same cumulative formula from scratch.
 """
 
 from __future__ import annotations
@@ -30,24 +37,35 @@ class BackendFailure(Exception):
 
 
 class InternalBackend:
-    """Bundled CDCL solver with per-instance reuse across assumption calls."""
+    """Bundled CDCL solver, reused across assumption calls and across
+    instances that extend the loaded clauses."""
 
     def __init__(self) -> None:
-        self._cache: dict[int, tuple[CnfInstance, CdclSolver]] = {}
+        self._solver: CdclSolver | None = None
+        self._varmap = None
+        self._loaded: tuple = ()  # the clauses the solver holds, in order
 
     def _solver_for(self, instance: CnfInstance) -> CdclSolver:
-        entry = self._cache.get(id(instance))
-        if entry is not None and entry[0] is instance:
-            return entry[1]
-        solver = CdclSolver()
+        clauses = instance.clauses
+        done = len(self._loaded)
+        solver = self._solver
+        if not (
+            solver is not None
+            and instance.varmap is self._varmap
+            and len(clauses) >= done
+            and clauses[:done] == self._loaded
+        ):
+            # free the old solver and its clauses before loading a new one
+            self._solver, self._varmap, self._loaded = None, None, ()
+            solver = CdclSolver()
+            done = 0
+        first_new = solver.nvars + 1
         solver.ensure_vars(instance.num_vars)
         for var in instance.branch_hints:
-            solver.activity[var] = 1.0
-        for clause in instance.clauses:
-            if not solver.add_clause(clause):
-                break
-        self._cache.clear()  # hold at most one instance at a time
-        self._cache[id(instance)] = (instance, solver)
+            if var >= first_new:
+                solver.activity[var] = 1.0
+        solver.add_clauses(clauses[done:] if done else clauses)
+        self._solver, self._varmap, self._loaded = solver, instance.varmap, clauses
         return solver
 
     def __call__(self, instance, assumptions=(), deadline=None):

@@ -3,7 +3,9 @@
 Variables carry tagged meanings (cell values per step, move selectors, match
 flags, gravity mappings, ...).  Non-auxiliary meanings are numbered first in
 lexicographic order of their tags, so two encodings of the same instance are
-byte-identical; Tseitin auxiliaries follow in creation order.  Clause
+byte-identical; Tseitin auxiliaries follow in creation order.  A formula
+that grows one step at a time numbers each step's meanings, sorted, after
+the variables it already has.  Clause
 emission folds the constants produced by statically-known cells (walls never
 hold variables): a clause containing a true literal is dropped, false
 literals are removed.
@@ -45,10 +47,16 @@ class VarMap:
     """
 
     def __init__(self, meanings: Iterable[tuple]) -> None:
-        ordered = sorted(meanings)
         self._by_meaning: dict[tuple, int] = {}
         self._by_var: list[tuple] = []
-        for m in ordered:
+        self.extend(meanings)
+
+    def extend(self, meanings: Iterable[tuple]) -> None:
+        """Number `meanings` after every existing variable, in sorted order
+        among themselves: one step of a formula that grows step by step."""
+        for m in sorted(meanings):
+            if m in self._by_meaning:
+                raise ValueError(f"meaning {m} is already numbered")
             self._by_meaning[m] = len(self._by_var) + 1
             self._by_var.append(m)
 

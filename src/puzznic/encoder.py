@@ -8,6 +8,10 @@ Two encodings over a step-indexed grid of one-hot cell-value variables:
   supporting) or one simultaneous removal of every matching block (again
   with instantaneous gravity, expressed through an order-preserving
   row-mapping function per column rather than explicit arithmetic).
+  `encode_fixed` emits the whole formula; `solve_iterative` grows one
+  formula a step at a time instead, with the goal at each horizon behind
+  an activation literal, and numbers each step's variables after the
+  previous steps' (the clauses are the same up to that numbering).
 
 - varmoves: counts only player moves.  The step axis becomes `ministeps`
   (moves + matches + a frozen dummy tail); the ministep horizon is
@@ -40,6 +44,8 @@ from puzznic.planner import (
 from puzznic.satsolver import SolverBudgetExceeded
 
 DEFAULT_MAX_HORIZON = 64
+# tags of the action variables, given a head start in the solver's order
+_HINT_TAGS = frozenset(("movesel", "matching", "dummy", "moving"))
 MOVE_STEP = "move"
 MATCH_STEP = "match"
 DUMMY_STEP = "dummy"
@@ -80,8 +86,20 @@ def _validate_level(level: Grid) -> None:
         raise LevelInvalid("level has pending matches")
 
 
+def _transition_ends(steps: range) -> range:
+    """The steps of a window that end a transition: all but step 0."""
+    return range(max(steps.start, 1), steps.stop)
+
+
+def _transition_starts(steps: range) -> range:
+    """The steps those transitions start from."""
+    ends = _transition_ends(steps)
+    return range(ends.start - 1, ends.stop - 1)
+
+
 class _Encoder:
-    """Shared machinery for both models over one level and horizon."""
+    """Shared machinery for both models over one level and a horizon, which
+    `add_step` can grow one step at a time."""
 
     def __init__(self, level: Grid, horizon: int, mode: str):
         self.level = level
@@ -105,7 +123,9 @@ class _Encoder:
                 bottom += 1
             self.seg_top[(r, c)] = top  # wall row above the segment
             self.seg_bottom[(r, c)] = bottom  # wall row below
-        self.vm = VarMap(self._meanings())
+        self.vm = VarMap(())
+        self.hints: list[int] = []  # branch_hints: action variables, in order
+        self._number(range(horizon + 1))
         self.b = ClauseBuilder()
 
     # -- variable layout ----------------------------------------------------
@@ -121,27 +141,34 @@ class _Encoder:
             if (r, c + d) in self.nonwall_set:
                 yield d
 
-    def _meanings(self):
+    def _meanings(self, steps: range):
         out = []
-        for s in range(0, self.S + 1):
+        for s in steps:
             for r, c in self.nonwall:
                 for v in [EMPTY] + self.patterns:
                     out.append(("cell", s, r, c, v))
-        for s in range(1, self.S + 1):
+        for s in _transition_ends(steps):
             out.append(("matching", s))
             for r, c in self.nonwall:
                 for d in self._move_targets(r, c):
                     out.append(("movesel", s, r, c, d))
-        for s in range(0, self.S):
+        for s in _transition_starts(steps):
             for r, c in self.nonwall:
                 out.append(("matchflag", s, r, c))
                 for q in self._mapsto_domain(r, c):
                     out.append(("mapsto", s, r, c, q))
         if self.mode == "varmoves":
-            for s in range(1, self.S + 1):
+            for s in _transition_ends(steps):
                 out.append(("moving", s))
                 out.append(("dummy", s))
         return out
+
+    def _number(self, steps: range) -> None:
+        first = len(self.vm) + 1
+        self.vm.extend(self._meanings(steps))
+        for var in range(first, len(self.vm) + 1):
+            if self.vm.meaning(var)[0] in _HINT_TAGS:
+                self.hints.append(var)
 
     # -- literal helpers ----------------------------------------------------
 
@@ -173,24 +200,56 @@ class _Encoder:
             yield self.cell(s, r, c, v), self.cell(s + 1, nr, nc, v)
 
     # -- constraint groups ----------------------------------------------------
+    #
+    # Each group takes a window of steps: step t holds the cells at t and,
+    # for t >= 1, the transition t-1 -> t (its action, the match flags and
+    # row mappings of t-1).  `emit_window` over range(S + 1) is the whole
+    # formula; over range(n, n + 1) it is what horizon n adds to horizon n-1.
 
-    def emit_one_hot_cells(self):
-        for s in range(0, self.S + 1):
+    def emit_window(self, steps: range, goal_guard=None):
+        """Every constraint group over `steps`, in the DIMACS order.  The goal
+        at the window's last step is emitted as (-goal_guard or ...): TRUE
+        makes it unconditional, None leaves it out."""
+        self.emit_one_hot_cells(steps)
+        self.emit_initial(steps)
+        if goal_guard is not None:
+            self.emit_goal(steps[-1], goal_guard)
+        self.emit_no_floating(steps)
+        self.emit_match_flags(steps)
+        self.emit_mode_selection(steps)
+        self.emit_mapsto(steps)
+        self.emit_match_transition(steps)
+        self.emit_moves(steps)
+
+    def add_step(self) -> int:
+        """Grow the formula by step S+1 and return that step's fresh goal
+        literal: the goal at S+1 holds wherever the literal is true."""
+        n = self.S = self.S + 1
+        self._number(range(n, n + 1))
+        goal = self.vm.aux(f"goal[{n}]")
+        self.emit_window(range(n, n + 1), goal_guard=goal)
+        return goal
+
+    def emit_one_hot_cells(self, steps: range):
+        for s in steps:
             for r, c in self.nonwall:
                 lits = [self.cell(s, r, c, v) for v in [EMPTY] + self.patterns]
                 self.b.clause(*lits)
                 self.b.at_most_one(lits)
 
-    def emit_initial_and_goal(self):
-        for r, c in self.nonwall:
-            self.b.clause(self.cell(0, r, c, self.level.at(r, c)))
+    def emit_initial(self, steps: range):
+        if 0 in steps:
+            for r, c in self.nonwall:
+                self.b.clause(self.cell(0, r, c, self.level.at(r, c)))
+
+    def emit_goal(self, s: int, guard):
         for r, c in self.nonwall:
             for p in self.patterns:
-                self.b.clause(neg(self.cell(self.S, r, c, p)))
+                self.b.clause(neg(guard), neg(self.cell(s, r, c, p)))
 
-    def emit_no_floating(self):
+    def emit_no_floating(self, steps: range):
         # a block never rests on an empty cell, at any step
-        for s in range(0, self.S + 1):
+        for s in steps:
             for r, c in self.nonwall:
                 below = self.cell_empty(s, r + 1, c)
                 if below is FALSE:
@@ -198,14 +257,14 @@ class _Encoder:
                 for p in self.patterns:
                     self.b.clause(neg(self.cell(s, r, c, p)), neg(below))
 
-    def emit_match_flags(self):
+    def emit_match_flags(self, steps: range):
         # matchflag[s,r,c] <-> cell holds a pattern shared with a neighbour
         edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
         for r, c in self.nonwall:
             for nr, nc in ((r + 1, c), (r, c + 1)):
                 if (nr, nc) in self.nonwall_set:
                     edges.append(((r, c), (nr, nc)))
-        for s in range(0, self.S):
+        for s in _transition_starts(steps):
             pair_vars: dict[tuple, int] = {}
             for (a, b) in edges:
                 for p in self.patterns:
@@ -226,9 +285,9 @@ class _Encoder:
                     self.b.clause(neg(t), mf)
                 self.b.clause(neg(mf), *incident[(r, c)])
 
-    def emit_mode_selection(self):
+    def emit_mode_selection(self, steps: range):
         # matching[s] <-> some matchflag at s-1; pinned action vars otherwise
-        for s in range(1, self.S + 1):
+        for s in _transition_ends(steps):
             m = self.vm.var("matching", s)
             flags = [self.vm.var("matchflag", s - 1, r, c) for r, c in self.nonwall]
             for f in flags:
@@ -250,8 +309,8 @@ class _Encoder:
                     self.b.clause(neg(lit), mv)
                 self.b.clause(neg(mv), *sel)
 
-    def emit_mapsto(self):
-        for s in range(0, self.S):
+    def emit_mapsto(self, steps: range):
+        for s in _transition_starts(steps):
             matching = self.vm.var("matching", s + 1)
             for r, c in self.nonwall:
                 dom = self._mapsto_domain(r, c)
@@ -295,8 +354,8 @@ class _Encoder:
                         neg(self.vm.var("mapsto", s, rb, c, q2)),
                     )
 
-    def emit_match_transition(self):
-        for s in range(0, self.S):
+    def emit_match_transition(self, steps: range):
+        for s in _transition_starts(steps):
             matching = self.vm.var("matching", s + 1)
             # mapped blocks carry their value to the destination row
             for r, c in self.nonwall:
@@ -325,8 +384,8 @@ class _Encoder:
                     neg(matching), *sources, self.cell_empty(s + 1, r, c)
                 )
 
-    def emit_moves(self):
-        for s in range(1, self.S + 1):
+    def emit_moves(self, steps: range):
+        for s in _transition_ends(steps):
             dest_vars: dict[tuple[int, int], int] = {}
             for q, c in self.nonwall:
                 dest_vars[(q, c)] = self.vm.aux(f"dest[{s},{q},{c}]")
@@ -455,17 +514,13 @@ class _Encoder:
         return unary
 
     def finish(self, meta: dict, unary=()) -> CnfInstance:
-        hints = []
-        for var, meaning in self.vm.iter_meanings():
-            if meaning[0] in ("movesel", "matching", "dummy", "moving"):
-                hints.append(var)
         return CnfInstance(
             num_vars=len(self.vm),
             clauses=tuple(self.b.clauses),
             varmap=self.vm,
             meta=meta,
             unary_moves=tuple(unary),
-            branch_hints=tuple(hints),
+            branch_hints=tuple(self.hints),
         )
 
 
@@ -477,14 +532,7 @@ def encode_fixed(
     if n_steps < 1 or n_steps > max_horizon:
         raise HorizonTooLarge(f"n_steps={n_steps} outside 1..{max_horizon}")
     enc = _Encoder(level, n_steps, "fixed")
-    enc.emit_one_hot_cells()
-    enc.emit_initial_and_goal()
-    enc.emit_no_floating()
-    enc.emit_match_flags()
-    enc.emit_mode_selection()
-    enc.emit_mapsto()
-    enc.emit_match_transition()
-    enc.emit_moves()
+    enc.emit_window(range(n_steps + 1), goal_guard=TRUE)
     return enc.finish(
         {
             "mode": "fixed",
@@ -512,14 +560,7 @@ def encode_varmoves(
     if horizon > max_horizon:
         raise HorizonTooLarge(f"ministep horizon {horizon} exceeds {max_horizon}")
     enc = _Encoder(level, horizon, "varmoves")
-    enc.emit_one_hot_cells()
-    enc.emit_initial_and_goal()
-    enc.emit_no_floating()
-    enc.emit_match_flags()
-    enc.emit_mode_selection()
-    enc.emit_mapsto()
-    enc.emit_match_transition()
-    enc.emit_moves()
+    enc.emit_window(range(horizon + 1), goal_guard=TRUE)
     unary = enc.emit_varmoves_extras(max_moves)
     return enc.finish(
         {
@@ -647,10 +688,16 @@ def solve_iterative(
     """Drive a backend over increasing horizons and decode the first model.
 
     fixed mode: try n_steps = 1, 2, 3, ... up to `bound`; the first
-    satisfiable horizon gives a minimum-total-steps plan.  varmoves mode:
-    double max_moves (1, 2, 4, ...) up to `bound`, then minimize the move
-    count inside the first feasible horizon by assuming tighter unary
-    bounds.  Either way the returned plan has been replay-validated.
+    satisfiable horizon gives a minimum-total-steps plan.  One formula
+    grows by one step per horizon, so each step is encoded and given to the
+    backend once; the goal at n is guarded by a fresh literal g_n, which
+    the call at horizon n assumes and which is refuted by the unit -g_n
+    once that horizon is unsatisfiable.  varmoves mode: double max_moves
+    (1, 2, 4, ...) up to `bound`, encoding each bound afresh, then minimize
+    the move count inside the first feasible horizon by assuming tighter
+    unary bounds.  Either way the returned plan has been replay-validated.
+    The deadline is checked before every backend call, and the backend
+    checks it again while it searches.
     """
     _validate_level(level)
     if mode not in ("fixed", "varmoves"):
@@ -667,20 +714,32 @@ def solve_iterative(
         result.stats.elapsed = time.monotonic() - start
         return result
 
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
     if engine.is_goal(level):
         return done(_solved_result(level, stats))
 
     if mode == "fixed":
         if bound < 1:
             raise BoundExhausted(f"no step horizons within bound {bound}")
+        enc = _Encoder(level, 0, "fixed")
+        enc.emit_window(range(1))
+        digest = engine.state_key(level).hex()
         for n in range(1, bound + 1):
-            instance = encode_fixed(level, n, max_horizon=bound)
+            if expired():
+                return done(SearchResult(BudgetExhausted(), stats))
+            goal = enc.add_step()
+            instance = enc.finish(
+                {"mode": "fixed", "horizon": n, "level_digest": digest, "level": level}
+            )
             try:
-                model = backend(instance, (), deadline)
+                model = backend(instance, (goal,), deadline)
             except SolverBudgetExceeded:
                 return done(SearchResult(BudgetExhausted(), stats))
-            stats.generated += len(instance.clauses)
+            stats.generated = len(instance.clauses)  # every clause given so far
             if model is None:
+                enc.b.clause(neg(goal))
                 continue
             decoded = decode_model(instance, model)
             plan, trace = _replay_plan(level, decoded.plan)
@@ -696,6 +755,8 @@ def solve_iterative(
         m *= 2
     schedule.append(bound)
     for m in schedule:
+        if expired():
+            return done(SearchResult(BudgetExhausted(), stats))
         instance = encode_varmoves(
             level, m, max_horizon=bound + max_match_steps(level)
         )
@@ -710,6 +771,8 @@ def solve_iterative(
         mu = _count_moves(instance, model)
         try:
             while mu > 0:
+                if expired():
+                    return done(SearchResult(BudgetExhausted(), stats))
                 tighter = backend(
                     instance, (-instance.unary_moves[mu - 1],), deadline
                 )

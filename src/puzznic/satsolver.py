@@ -1,9 +1,18 @@
 """A small CDCL SAT solver used as the bundled CNF backend.
 
 Two-watched-literal propagation, first-UIP clause learning, exponential
-VSIDS decay, Luby restarts, activity-based deletion of learned clauses, and
-MiniSat-style assumption handling.  Literals are nonzero ints (DIMACS
-convention); variables are numbered from 1.
+VSIDS decay, Luby restarts, MiniSat-style assumption handling, and a
+learnt-clause database cut by length: past a cap, the longer half of the
+learnt clauses that are neither binary nor the reason of an assignment is
+deleted.
+
+At the API a literal is a nonzero int (DIMACS convention) and variables
+are numbered from 1: `add_clause`, `add_clauses` and assumptions take such
+literals, and a model is a bool list indexed by variable.  Inside, a
+literal is a code, 2v for v and 2v+1 for -v: negation is `code ^ 1`, the
+variable is `code >> 1`, and a code indexes the value and watch lists
+directly.  Clauses, watches, the trail and reasons all hold codes, so the
+search loops never convert.
 
 This is deliberately plain Python: the bounded puzzle encodings it has to
 digest are in the tens of thousands of clauses, where careful inner loops
@@ -38,9 +47,12 @@ class CdclSolver:
         self.nvars = 0
         self.clauses: list[list[int]] = []  # problem clauses
         self.learnts: list[list[int]] = []
-        # per literal code (2v / 2v+1): +1 true, -1 false, 0 unassigned
+        # the code table: v -> 2v and -v -> 2v+1 are pos_code[v], neg_code[v]
+        self.pos_code: list[int] = [0]
+        self.neg_code: list[int] = [1]
+        # per literal code: +1 true, -1 false, 0 unassigned
         self.value: list[int] = [0, 0]
-        self.watches: list[list[list[int]]] = [[], []]  # lit code -> clause refs
+        self.watches: list[list[list[int]]] = [[], []]  # code -> clauses
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
@@ -49,28 +61,36 @@ class CdclSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.var_inc = 1.0
-        self.cla_inc = 1.0
         self.ok = True
+        # cumulative over all solve calls
+        self.conflicts = 0
+        self.decisions = 0
 
     # -- construction ------------------------------------------------------
 
     def ensure_vars(self, n: int) -> None:
-        while self.nvars < n:
-            self.nvars += 1
-            self.value.extend((0, 0))
-            self.watches.extend(([], []))
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.phase.append(False)
-
-    @staticmethod
-    def _code(lit: int) -> int:
-        return lit << 1 if lit > 0 else (-lit << 1) | 1
+        if n <= self.nvars:
+            return
+        added = n - self.nvars
+        new = range(self.nvars + 1, n + 1)
+        self.pos_code.extend(v << 1 for v in new)
+        self.neg_code.extend((v << 1) | 1 for v in new)
+        self.nvars = n
+        self.value.extend([0] * (2 * added))
+        self.watches.extend([] for _ in range(2 * added))
+        self.level.extend([0] * added)
+        self.reason.extend([None] * added)
+        self.activity.extend([0.0] * added)
+        self.phase.extend([False] * added)
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False if the formula is now trivially
         unsatisfiable (empty clause or conflicting units at level 0)."""
+        return self._add_clause(lits)
+
+    def _add_clause(self, lits) -> bool:
+        # also the general path of add_clauses, which keeps add_clause the
+        # entry point of callers outside the solver
         if not self.ok:
             return False
         seen: set[int] = set()
@@ -82,55 +102,86 @@ class CdclSolver:
                 continue
             seen.add(lit)
             self.ensure_vars(abs(lit))
-            v = self.value[self._code(lit)]
-            if v == 1 and self.level[abs(lit)] == 0:
+            code = self.pos_code[lit] if lit > 0 else self.neg_code[-lit]
+            v = self.value[code]
+            if v == 1 and self.level[code >> 1] == 0:
                 return True  # already satisfied at root
-            if v == -1 and self.level[abs(lit)] == 0:
+            if v == -1 and self.level[code >> 1] == 0:
                 continue  # root-false literal drops out
-            out.append(lit)
+            out.append(code)
         if not out:
             self.ok = False
             return False
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self.ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            if not self._enqueue(out[0], None) or self._propagate() is not None:
                 self.ok = False
                 return False
             return True
-        clause = out
-        self.clauses.append(clause)
-        self.watches[self._code(clause[0])].append(clause)
-        self.watches[self._code(clause[1])].append(clause)
+        self.clauses.append(out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
+        return True
+
+    def add_clauses(self, clauses) -> bool:
+        """Add problem clauses in order, with the same result as `add_clause`
+        on each in turn: False, and nothing more added, once the formula is
+        trivially unsatisfiable.  A clause of two or more distinct variables,
+        none of them assigned, is attached directly; any other goes the way
+        `add_clause` takes."""
+        if not self.ok:
+            return False
+        pos_code = self.pos_code
+        neg_code = self.neg_code
+        value = self.value
+        watches = self.watches
+        problem = self.clauses
+        for lits in clauses:
+            try:
+                codes = [pos_code[lit] if lit > 0 else neg_code[-lit] for lit in lits]
+            except IndexError:  # a variable beyond nvars
+                codes = None
+            if (
+                codes is not None
+                and len(codes) > 1
+                and not any(map(value.__getitem__, codes))
+                and (
+                    codes[0] ^ codes[1] > 1
+                    if len(codes) == 2
+                    else len({c >> 1 for c in codes}) == len(codes)
+                )
+            ):
+                problem.append(codes)
+                watches[codes[0]].append(codes)
+                watches[codes[1]].append(codes)
+            elif not self._add_clause(lits):
+                return False
         return True
 
     # -- trail management --------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        code = self._code(lit)
+    def _enqueue(self, code: int, reason: list[int] | None) -> bool:
         val = self.value[code]
         if val != 0:
             return val == 1
         self.value[code] = 1
         self.value[code ^ 1] = -1
-        var = abs(lit)
+        var = code >> 1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
-        self.phase[var] = lit > 0
-        self.trail.append(lit)
+        self.phase[var] = not code & 1
+        self.trail.append(code)
         return True
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        for lit in reversed(self.trail[bound:]):
-            code = self._code(lit)
-            self.value[code] = 0
-            self.value[code ^ 1] = 0
-            self.reason[abs(lit)] = None
+        value = self.value
+        reason = self.reason
+        for code in self.trail[bound:]:
+            value[code] = 0
+            value[code ^ 1] = 0
+            reason[code >> 1] = None
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
@@ -140,12 +191,15 @@ class CdclSolver:
     def _propagate(self) -> list[int] | None:
         value = self.value
         watches = self.watches
-        code_of = self._code
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_code = code_of(-lit)
-            false_lit = -lit
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_code = trail[qhead] ^ 1
+            qhead += 1
             watchlist = watches[false_code]
             i = 0
             j = 0
@@ -154,96 +208,90 @@ class CdclSolver:
                 clause = watchlist[i]
                 i += 1
                 # make sure the false literal is in slot 1
-                if clause[0] == false_lit:
+                if clause[0] == false_code:
                     clause[0] = clause[1]
-                    clause[1] = false_lit
+                    clause[1] = false_code
                 first = clause[0]
-                if value[code_of(first)] == 1:
+                if value[first] == 1:
                     watchlist[j] = clause
                     j += 1
                     continue
                 # look for a replacement watch
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    if value[code_of(other)] != -1:
+                    if value[other] != -1:
                         clause[1] = other
-                        clause[k] = false_lit
-                        watches[code_of(other)].append(clause)
-                        found = True
+                        clause[k] = false_code
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                # unit or conflicting
-                watchlist[j] = clause
-                j += 1
-                if value[code_of(first)] == -1:
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    del watchlist[j:]
-                    self.qhead = len(self.trail)
-                    return clause
-                self.value[code_of(first)] = 1
-                self.value[code_of(first) ^ 1] = -1
-                var = abs(first)
-                self.level[var] = len(self.trail_lim)
-                self.reason[var] = clause
-                self.phase[var] = first > 0
-                self.trail.append(first)
+                else:
+                    # unit or conflicting
+                    watchlist[j] = clause
+                    j += 1
+                    if value[first] == -1:
+                        del watchlist[j:i]
+                        self.qhead = len(trail)
+                        return clause
+                    value[first] = 1
+                    value[first ^ 1] = -1
+                    var = first >> 1
+                    level[var] = lvl
+                    reason[var] = clause
+                    phase[var] = not first & 1
+                    trail.append(first)
             del watchlist[j:]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            inv = 1e-100
-            for v in range(1, self.nvars + 1):
-                self.activity[v] *= inv
-            self.var_inc *= inv
+    def _rescale_activity(self) -> None:
+        inv = 1e-100
+        for v in range(1, self.nvars + 1):
+            self.activity[v] *= inv
+        self.var_inc *= inv
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning: resolve the conflict backwards along the trail
         until one literal of the current decision level remains."""
+        level = self.level
+        trail = self.trail
+        activity = self.activity
         learnt = [0]  # slot 0 receives the asserting literal
         seen = [False] * (self.nvars + 1)
         counter = 0
-        p = 0  # 0 while processing the conflict clause itself
-        clause = conflict
-        index = len(self.trail)
+        lits = conflict  # then each reason clause without its slot 0
+        index = len(trail)
         cur_level = len(self.trail_lim)
         while True:
-            # skip the implied literal (slot 0) of reason clauses
-            for q in clause if p == 0 else clause[1:]:
-                var = abs(q)
-                if seen[var] or self.level[var] == 0:
+            for q in lits:
+                var = q >> 1
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
-                self._bump_var(var)
-                if self.level[var] >= cur_level:
+                activity[var] += self.var_inc
+                if activity[var] > 1e100:
+                    self._rescale_activity()
+                if level[var] >= cur_level:
                     counter += 1
                 else:
                     learnt.append(q)
-            while True:
+            index -= 1
+            while not seen[trail[index] >> 1]:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
-                    break
-            seen[abs(p)] = False
+            p = trail[index]
+            seen[p >> 1] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self.reason[abs(p)]
-        learnt[0] = -p
+            lits = self.reason[p >> 1][1:]
+        learnt[0] = p ^ 1
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[abs(q)] for q in learnt[1:])
+        back = max(level[q >> 1] for q in learnt[1:])
         # move a literal of the backjump level into slot 1 for watching
         for idx in range(1, len(learnt)):
-            if self.level[abs(learnt[idx])] == back:
+            if level[learnt[idx] >> 1] == back:
                 learnt[1], learnt[idx] = learnt[idx], learnt[1]
                 break
         return learnt, back
@@ -259,6 +307,10 @@ class CdclSolver:
             return None
         for lit in assumptions:
             self.ensure_vars(abs(lit))
+        assumed = [
+            self.pos_code[lit] if lit > 0 else self.neg_code[-lit] for lit in assumptions
+        ]
+        value = self.value
         conflict_count = 0
         restart_idx = 1
         restart_budget = 100 * _luby(restart_idx)
@@ -275,6 +327,7 @@ class CdclSolver:
             conflict = self._propagate()
             if conflict is not None:
                 conflict_count += 1
+                self.conflicts += 1
                 if conflict_count % 256 == 0 and deadline is not None:
                     if time.monotonic() > deadline:
                         self._cancel_until(0)
@@ -290,8 +343,8 @@ class CdclSolver:
                         return None
                 else:
                     self.learnts.append(learnt)
-                    self.watches[self._code(learnt[0])].append(learnt)
-                    self.watches[self._code(learnt[1])].append(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 if conflict_count >= restart_budget:
@@ -310,9 +363,9 @@ class CdclSolver:
             # pick the next assumption, if any remain unsatisfied
             lvl = len(self.trail_lim)
             decided = False
-            while lvl < len(assumptions):
-                a = assumptions[lvl]
-                val = self.value[self._code(a)]
+            while lvl < len(assumed):
+                a = assumed[lvl]
+                val = value[a]
                 if val == 1:
                     self.trail_lim.append(len(self.trail))
                     lvl += 1
@@ -332,25 +385,24 @@ class CdclSolver:
             while order_pos < len(order):
                 cand = order[order_pos]
                 order_pos += 1
-                if self.value[cand << 1] == 0:
+                if value[cand << 1] == 0:
                     var = cand
                     break
             if var == 0:
-                for cand in range(1, self.nvars + 1):
-                    if self.value[cand << 1] == 0:
-                        var = cand
-                        break
-            if var == 0:
-                model = [False] * (self.nvars + 1)
-                for v in range(1, self.nvars + 1):
-                    model[v] = self.value[v << 1] == 1
-                self._cancel_until(0)
-                return model
+                # the lowest unassigned variable: both its codes read 0
+                try:
+                    var = value.index(0, 2) >> 1
+                except ValueError:
+                    model = [v == 1 for v in value[::2]]
+                    self._cancel_until(0)
+                    return model
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.phase[var] else -var, None)
+            self._enqueue(var << 1 if self.phase[var] else (var << 1) | 1, None)
 
     def _reduce_learnts(self) -> None:
-        locked = {id(self.reason[abs(lit)]) for lit in self.trail if self.reason[abs(lit)]}
+        reason = self.reason
+        locked = {id(reason[c >> 1]) for c in self.trail if reason[c >> 1]}
         keep: list[list[int]] = []
         removable: list[list[int]] = []
         for c in self.learnts:
@@ -380,7 +432,6 @@ def solve_clauses(
     """One-shot convenience wrapper: solve a clause list, return a model or None."""
     solver = CdclSolver()
     solver.ensure_vars(nvars)
-    for clause in clauses:
-        if not solver.add_clause(clause):
-            return None
+    if not solver.add_clauses(clauses):
+        return None
     return solver.solve(assumptions=assumptions, deadline=deadline)

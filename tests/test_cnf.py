@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -7,9 +8,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puzznic import cnf
+from puzznic import cnf, encoder
+from puzznic.backends import InternalBackend
 from puzznic.cnf import FALSE, TRUE, ClauseBuilder, VarMap, neg, parse_solver_output
 from puzznic.satsolver import CdclSolver, SolverBudgetExceeded, _luby, solve_clauses
+
+# Search fingerprints of one solve on a fresh solver: (level, mode, horizon
+# or move bound, cumulative conflicts, cumulative decisions, sha256 of the
+# model's bytes or None for UNSAT).  A change to any of them changes the
+# search itself (decision order, learning, restarts, clause deletion), which
+# a faster solver must not do.
+PINNED_SEARCH = [
+    ("5x7-ps1-a13", "fixed", 5, 931, 2946, None),
+    (
+        "5x7-ps1-a13", "fixed", 7, 740, 3065,
+        "870d2c516ff1946f332efec14374d7c5bfe73186cc4aa5ca29ee4560a0001a4f",
+    ),
+    ("8x8-desk-big", "varmoves", 2, 169, 1382, None),
+    (
+        "8x4-desk-twopat", "varmoves", 3, 161, 728,
+        "d5d41f8a95ad7fa867b2d6401d3c2e11744ee96deebc5d6c5eb6015f3a360567",
+    ),
+]
+
+lit_of = lambda n: st.integers(min_value=1, max_value=n).flatmap(  # noqa: E731
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+def solver_state(s: CdclSolver):
+    return (s.ok, s.nvars, s.clauses, s.trail, s.value, s.level, s.reason, s.phase)
 
 
 def brute_sat(clauses, n) -> bool:
@@ -56,6 +84,41 @@ class TestCdclSolver:
                     clauses.append([-var(i1, j), -var(i2, j)])
         with pytest.raises(SolverBudgetExceeded):
             solve_clauses(clauses, p * h, deadline=time.monotonic() + 0.3)
+
+    @pytest.mark.parametrize("name,mode,bound,conflicts,decisions,model_sha", PINNED_SEARCH)
+    def test_search_is_pinned(self, corpus, name, mode, bound, conflicts, decisions, model_sha):
+        instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, bound)
+        backend = InternalBackend()
+        model = backend(instance)
+        solver = backend._solver
+        assert (solver.conflicts, solver.decisions) == (conflicts, decisions)
+        digest = None if model is None else hashlib.sha256(bytes(model)).hexdigest()
+        assert digest == model_sha
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_add_clauses_equals_add_clause_in_turn(self, data):
+        # units, repeated and complementary literals, root-assigned literals
+        # and variables beyond ensure_vars take the general path; the result
+        # must not depend on which path ran
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        declared = data.draw(st.sampled_from([n, 0]))
+        chunks = data.draw(
+            st.lists(
+                st.lists(st.lists(lit_of(n), min_size=1, max_size=3), max_size=10),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        bulk, single = CdclSolver(), CdclSolver()
+        bulk.ensure_vars(declared)
+        single.ensure_vars(declared)
+        for chunk in chunks:
+            got = bulk.add_clauses(chunk)
+            want = all(single.add_clause(clause) for clause in chunk) and single.ok
+            assert got == want
+            assert solver_state(bulk) == solver_state(single)
+            assert bulk.solve() == single.solve()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -1,17 +1,43 @@
 from __future__ import annotations
 
+import hashlib
 import pathlib
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import CORPUS_OPTIMA
 from puzznic import encoder, engine, planner
 from puzznic.backends import BackendFailure, ExternalBackend, InternalBackend
+from puzznic.cnf import CnfInstance, VarMap
 from test_engine import make_grid
 
 STUB = pathlib.Path(__file__).parent / "data" / "stub_solver.py"
+
+# `puzznic encode` output is an artifact users keep and diff: sha256 of
+# `to_dimacs()` pins it byte for byte, clause order and numbering included.
+PINNED_DIMACS = [
+    ("5x7-ps1-a13", "fixed", 4, "28eb30ea869ec9f11e9d1e4d9da23e006ea591d21e158f65ccdff02e69633c29"),
+    ("5x7-ps1-a13", "varmoves", 2, "5939d052b7a513cee93d2caa6898a4878a8725e6db7486058e46500e9c453170"),
+    ("8x8-desk-big", "fixed", 5, "2b3ad9c313072f0686a82b3bd3fb8a2e868949ba6a2f5ee8d41a1f2159ec9fdb"),
+]
+
+
+class _Recording(InternalBackend):
+    """Internal backend that records each call's horizon and verdict."""
+
+    def __init__(self):
+        super().__init__()
+        self.verdicts: list[tuple[int, bool]] = []
+
+    def __call__(self, instance, assumptions=(), deadline=None):
+        model = super().__call__(instance, assumptions, deadline)
+        self.verdicts.append((instance.meta["horizon"], model is not None))
+        return model
 
 
 class _StubExternal(ExternalBackend):
@@ -53,6 +79,12 @@ class _StubExternal(ExternalBackend):
             if abs(lit) <= instance.num_vars:
                 model[abs(lit)] = lit > 0
         return model
+
+
+@pytest.mark.parametrize("name,mode,n,digest", PINNED_DIMACS)
+def test_dimacs_is_pinned(corpus, name, mode, n, digest):
+    instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, n)
+    assert hashlib.sha256(instance.to_dimacs().encode()).hexdigest() == digest
 
 
 class TestEncodeFixed:
@@ -215,6 +247,81 @@ class TestSolveIterative:
         )
         assert isinstance(result.outcome, planner.BudgetExhausted)
 
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    def test_zero_time_limit_without_conflicts(self, corpus, mode):
+        # root propagation refutes every horizon of this level, so the
+        # solver's own deadline check, made between conflicts, never runs
+        result = encoder.solve_iterative(
+            corpus["6x3-desk-sealed"].grid, mode=mode, bound=100, time_limit=0.0
+        )
+        assert isinstance(result.outcome, planner.BudgetExhausted)
+
+    def test_fixed_counts_each_clause_once(self, corpus):
+        level = corpus["5x3-desk-corridor"].grid
+        backend = _Recording()
+        result = encoder.solve_iterative(level, mode="fixed", bound=6, backend=backend)
+        assert [h for h, _ in backend.verdicts] == [1, 2]
+        assert result.stats.generated == len(backend._loaded)
+
+
+class TestIncrementalHorizons:
+    BOUND = 5
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_agrees_with_fresh_encodings_and_step_oracle(self, seed, solvable):
+        # few random levels are solvable, so draw until one of the wanted
+        # kind turns up (or give up and test the last one drawn)
+        rng = random.Random(seed)
+        for _ in range(64):
+            level = oracles.random_quiescent(rng, max_h=6, max_w=6, n_patterns=2).grid
+            optimum = next(
+                (
+                    n
+                    for n in range(1, self.BOUND + 1)
+                    if oracles.exact_step_sequence_exists(level, n)
+                ),
+                None,
+            )
+            if not engine.is_goal(level) and (optimum is not None) == solvable:
+                break
+        backend = _Recording()
+        result = encoder.solve_iterative(
+            level, mode="fixed", bound=self.BOUND, backend=backend
+        )
+        for n, sat in backend.verdicts:
+            fresh = InternalBackend()(encoder.encode_fixed(level, n))
+            assert sat == (fresh is not None), n
+        if engine.is_goal(level):
+            assert backend.verdicts == []
+        elif optimum is None:
+            assert isinstance(result.outcome, planner.ProvedUnsolvable)
+            assert backend.verdicts == [(n, False) for n in range(1, self.BOUND + 1)]
+        else:
+            assert isinstance(result.outcome, planner.Solved)
+            trace = result.outcome.trace
+            assert trace.move_count + trace.match_count == optimum
+            assert backend.verdicts == [(n, n == optimum) for n in range(1, optimum + 1)]
+
+
+class TestInternalBackendReuse:
+    def test_reuses_only_a_checked_extension(self):
+        vm = VarMap([("matching", 1), ("matching", 2)])
+        first = CnfInstance(2, ((1, 2),), vm, {})
+        grown = CnfInstance(2, ((1, 2), (-1,)), vm, {})
+        # same VarMap and longer, but not an extension of `grown`: loading
+        # only its third clause would make it unsatisfiable
+        other = CnfInstance(2, ((1, -2), (-2,), (1,)), vm, {})
+        backend = InternalBackend()
+        assert backend(first) is not None
+        solver = backend._solver
+        model = backend(grown)
+        assert backend._solver is solver
+        assert model is not None and model[2] and not model[1]
+        model = backend(other)
+        assert backend._solver is not solver
+        assert model is not None and model[1] and not model[2]
+
 
 class TestExternalBackendContract:
     def test_stub_solver_round_trip(self, corpus):
@@ -225,6 +332,17 @@ class TestExternalBackendContract:
         )
         assert isinstance(result.outcome, planner.Solved)
         assert result.outcome.plan.cost == 1
+
+    def test_stub_solver_fixed_horizons(self, corpus):
+        # each horizon reaches the external solver as the cumulative formula
+        # with the horizon's goal literal appended as a unit clause
+        level = corpus["5x3-desk-corridor"].grid
+        result = encoder.solve_iterative(
+            level, mode="fixed", bound=4, backend=_StubExternal()
+        )
+        assert isinstance(result.outcome, planner.Solved)
+        trace = result.outcome.trace
+        assert trace.move_count + trace.match_count == 2
 
     def test_stub_solver_unsat(self, corpus):
         inst = encoder.encode_varmoves(corpus["5x3-desk-corridor"].grid, 0)

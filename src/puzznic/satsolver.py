@@ -61,6 +61,8 @@ class CdclSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.var_inc = 1.0
+        # False once the clauses alone are unsatisfiable: an empty clause,
+        # or a conflict at level 0 while loading or searching
         self.ok = True
         # cumulative over all solve calls
         self.conflicts = 0
@@ -86,11 +88,6 @@ class CdclSolver:
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False if the formula is now trivially
         unsatisfiable (empty clause or conflicting units at level 0)."""
-        return self._add_clause(lits)
-
-    def _add_clause(self, lits) -> bool:
-        # also the general path of add_clauses, which keeps add_clause the
-        # entry point of callers outside the solver
         if not self.ok:
             return False
         seen: set[int] = set()
@@ -153,7 +150,7 @@ class CdclSolver:
                 problem.append(codes)
                 watches[codes[0]].append(codes)
                 watches[codes[1]].append(codes)
-            elif not self._add_clause(lits):
+            elif not self.add_clause(lits):
                 return False
         return True
 
@@ -302,7 +299,9 @@ class CdclSolver:
         self, assumptions: tuple[int, ...] = (), deadline: float | None = None
     ) -> list[bool] | None:
         """Return a model as a bool list indexed by variable (index 0 unused),
-        or None when unsatisfiable under the assumptions."""
+        or None when unsatisfiable under the assumptions.  A conflict at
+        level 0 refutes the clauses themselves, so every later call returns
+        None too, whatever clauses are added."""
         if not self.ok:
             return None
         for lit in assumptions:
@@ -320,7 +319,7 @@ class CdclSolver:
 
         conflict = self._propagate()
         if conflict is not None:
-            self._cancel_until(0)
+            self.ok = False
             return None
 
         while True:
@@ -328,18 +327,18 @@ class CdclSolver:
             if conflict is not None:
                 conflict_count += 1
                 self.conflicts += 1
+                if len(self.trail_lim) == 0:
+                    self.ok = False
+                    return None
                 if conflict_count % 256 == 0 and deadline is not None:
                     if time.monotonic() > deadline:
                         self._cancel_until(0)
                         raise SolverBudgetExceeded
-                if len(self.trail_lim) == 0:
-                    self._cancel_until(0)
-                    return None
                 learnt, back = self._analyze(conflict)
                 self._cancel_until(back)
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        self._cancel_until(0)
+                        self.ok = False
                         return None
                 else:
                     self.learnts.append(learnt)

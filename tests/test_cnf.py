@@ -71,6 +71,25 @@ class TestCdclSolver:
         model = s.solve()
         assert model is not None
 
+    @pytest.mark.parametrize("p,h", [(3, 2), (4, 3)])
+    def test_stays_unsat_after_search_refutes_the_formula(self, p, h):
+        # only search refutes pigeonhole: the final conflict is at level 0,
+        # after which the solver must not answer from a half-propagated trail
+        var = lambda i, j: i * h + j + 1  # noqa: E731
+        clauses = [[var(i, j) for j in range(h)] for i in range(p)]
+        for j in range(h):
+            for i1, i2 in itertools.combinations(range(p), 2):
+                clauses.append([-var(i1, j), -var(i2, j)])
+        s = CdclSolver()
+        s.ensure_vars(p * h)
+        assert s.add_clauses(clauses)
+        assert s.solve() is None
+        assert s.conflicts > 0
+        fresh = p * h
+        assert not s.add_clauses([[fresh + 1, fresh + 2], [-(fresh + 1), fresh + 3]])
+        assert s.solve() is None
+        assert s.solve(assumptions=(fresh + 3,)) is None
+
     def test_deadline(self):
         # pigeonhole instances are exponentially hard for resolution
         clauses = []

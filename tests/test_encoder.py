@@ -256,6 +256,18 @@ class TestSolveIterative:
         )
         assert isinstance(result.outcome, planner.BudgetExhausted)
 
+    def test_fixed_past_the_last_execution(self):
+        # a move, then a match that strands the third block: no execution
+        # has three steps, and search (not loading) finds that out, so the
+        # grown formula stays unsatisfiable at every later horizon
+        level = make_grid("######", "#.1#.#", "#1##1#", "######")
+        backend = _Recording()
+        result = encoder.solve_iterative(level, mode="fixed", bound=6, backend=backend)
+        assert isinstance(result.outcome, planner.ProvedUnsolvable)
+        assert backend.verdicts == [(n, False) for n in range(1, 7)]
+        for n in range(1, 7):
+            assert InternalBackend()(encoder.encode_fixed(level, n)) is None
+
     def test_fixed_counts_each_clause_once(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
         backend = _Recording()

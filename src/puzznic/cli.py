@@ -81,7 +81,10 @@ def cmd_encode(args) -> int:
         return _fail(str(exc))
     text = instance.to_dimacs()
     if args.output:
-        pathlib.Path(args.output).write_text(text, encoding="ascii")
+        try:
+            pathlib.Path(args.output).write_text(text, encoding="ascii")
+        except OSError as exc:
+            return _fail(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(text)
     print(
@@ -144,11 +147,14 @@ def cmd_export(args) -> int:
     except (LevelError, encoder.LevelInvalid, OSError) as exc:
         return _fail(str(exc))
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     domain_path = out_dir / "domain.pddl"
     problem_path = out_dir / f"{lf.name or 'level'}.pddl"
-    domain_path.write_text(pddl.export_pddl_domain(), encoding="ascii")
-    problem_path.write_text(problem, encoding="ascii")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        domain_path.write_text(pddl.export_pddl_domain(), encoding="ascii")
+        problem_path.write_text(problem, encoding="ascii")
+    except OSError as exc:
+        return _fail(f"cannot write to {out_dir}: {exc}")
     print(f"wrote {domain_path} and {problem_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -5,14 +5,18 @@ flags, gravity mappings, ...).  Non-auxiliary meanings are numbered first in
 lexicographic order of their tags, so two encodings of the same instance are
 byte-identical; Tseitin auxiliaries follow in creation order.  A formula
 that grows one step at a time numbers each step's meanings, sorted, after
-the variables it already has.  Clause
-emission folds the constants produced by statically-known cells (walls never
-hold variables): a clause containing a true literal is dropped, false
-literals are removed.
+the variables it already has.
+
+Statically-known cells (walls never hold variables) are the constants TRUE
+and FALSE, which negate to each other with unary minus like any literal.
+They fold where a clause is added, in `ClauseBuilder`, and nowhere else: a
+clause containing TRUE is dropped, FALSE literals are removed, so every
+stored clause holds DIMACS integers only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -26,17 +30,12 @@ class _Const:
     def __repr__(self) -> str:
         return self.name
 
+    def __neg__(self) -> _Const:
+        return FALSE if self is TRUE else TRUE
+
 
 TRUE = _Const("TRUE")
 FALSE = _Const("FALSE")
-
-
-def neg(lit):
-    if lit is TRUE:
-        return FALSE
-    if lit is FALSE:
-        return TRUE
-    return -lit
 
 
 class VarMap:
@@ -111,33 +110,35 @@ class VarMap:
 
 
 class ClauseBuilder:
+    """The clause list of one formula, with constants folded on the way in.
+
+    `clause` is called once per emitted clause, millions of times for a
+    large encoding, so it tests for constants with two membership scans
+    (run in C) and stores the argument tuple itself when neither is there.
+    """
+
     def __init__(self) -> None:
         self.clauses: list[tuple[int, ...]] = []
 
     def clause(self, *lits) -> None:
-        out = []
-        for lit in lits:
-            if lit is TRUE:
-                return
-            if lit is FALSE:
-                continue
-            out.append(lit)
-        self.clauses.append(tuple(out))
+        if TRUE in lits:
+            return
+        if FALSE in lits:
+            lits = tuple([lit for lit in lits if lit is not FALSE])
+        self.clauses.append(lits)
 
     def implies(self, antecedents, consequent) -> None:
         """(/\\ antecedents) -> consequent as one clause."""
-        self.clause(*[neg(a) for a in antecedents], consequent)
+        self.clause(*[-a for a in antecedents], consequent)
 
     def at_most_one(self, lits) -> None:
-        concrete = [l for l in lits if l is not FALSE]
-        if any(l is TRUE for l in concrete):
-            concrete = [l for l in concrete if l is not TRUE]
-            for l in concrete:
-                self.clause(neg(l))
+        """Pairwise: (-a or -b) for every pair, in the order of `lits`.  A
+        TRUE member forces every other member off instead."""
+        concrete = [lit for lit in lits if lit is not FALSE]
+        if TRUE in concrete:
+            self.clauses.extend((-lit,) for lit in concrete if lit is not TRUE)
             return
-        for i in range(len(concrete)):
-            for j in range(i + 1, len(concrete)):
-                self.clause(neg(concrete[i]), neg(concrete[j]))
+        self.clauses.extend(itertools.combinations([-lit for lit in concrete], 2))
 
     def totalizer(self, varmap: VarMap, lits: list[int], origin: str) -> list[int]:
         """Sorted unary counter over `lits`: output[j] is implied whenever at
@@ -183,15 +184,30 @@ class CnfInstance:
     branch_hints: tuple[int, ...] = ()
 
     def to_dimacs(self) -> str:
+        """DIMACS text: a `c map` comment per named variable, the header, one
+        0-terminated line per clause.
+
+        A variable occurs in many clauses, so the text of each literal with
+        its trailing space ("5 ", "-5 ") is made once, in a token table
+        built per call, and every clause line is a C-level join of table
+        lookups.  A literal that names no variable (0, or beyond num_vars)
+        raises KeyError."""
         lines = []
         for var, _ in self.varmap.iter_meanings():
             desc = self.varmap.describe(var)
             if desc is not None:
                 lines.append(f"c map {var} {desc}")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join([*map(str, clause), "0"]))
-        return "\n".join(lines) + "\n"
+        head = "\n".join(lines) + "\n"
+        if not self.clauses:
+            return head
+        token = {}
+        for var in range(1, self.num_vars + 1):
+            token[var] = f"{var} "
+            token[-var] = f"-{var} "
+        text = token.__getitem__
+        body = "0\n".join(["".join(map(text, clause)) for clause in self.clauses])
+        return f"{head}{body}0\n"
 
 
 def parse_solver_output(text: str) -> tuple[str, list[int]]:

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 
 from puzznic import engine
-from puzznic.cnf import FALSE, TRUE, ClauseBuilder, CnfInstance, VarMap, neg
+from puzznic.cnf import FALSE, TRUE, ClauseBuilder, CnfInstance, VarMap
 from puzznic.engine import EMPTY, LEFT, RIGHT, WALL, Grid, Move, QuiescentState
 from puzznic.planner import (
     BudgetExhausted,
@@ -111,6 +111,9 @@ class _Encoder:
             (r, c) for r, c in level.interior() if level.at(r, c) != WALL
         ]
         self.nonwall_set = set(self.nonwall)
+        self.col_rows: dict[int, list[int]] = {}  # non-wall rows per column
+        for r, c in self.nonwall:
+            self.col_rows.setdefault(c, []).append(r)
         # wall-delimited column segments bound both falling and mapping
         self.seg_top: dict[tuple[int, int], int] = {}
         self.seg_bottom: dict[tuple[int, int], int] = {}
@@ -124,6 +127,7 @@ class _Encoder:
             self.seg_top[(r, c)] = top  # wall row above the segment
             self.seg_bottom[(r, c)] = bottom  # wall row below
         self.vm = VarMap(())
+        self.cells: dict[tuple[int, int, int, int], int] = {}  # (s, r, c, v) -> var
         self.hints: list[int] = []  # branch_hints: action variables, in order
         self._number(range(horizon + 1))
         self.b = ClauseBuilder()
@@ -167,18 +171,24 @@ class _Encoder:
         first = len(self.vm) + 1
         self.vm.extend(self._meanings(steps))
         for var in range(first, len(self.vm) + 1):
-            if self.vm.meaning(var)[0] in _HINT_TAGS:
+            meaning = self.vm.meaning(var)
+            if meaning[0] == "cell":
+                self.cells[meaning[1:]] = var
+            elif meaning[0] in _HINT_TAGS:
                 self.hints.append(var)
 
     # -- literal helpers ----------------------------------------------------
 
     def cell(self, s: int, r: int, c: int, v: int):
         """Literal for grid[s, r, c] == v; constant for static wall cells."""
+        lit = self.cells.get((s, r, c, v))
+        if lit is not None:
+            return lit
         if (r, c) not in self.nonwall_set:
             return TRUE if v == WALL else FALSE
         if v == WALL:
             return FALSE
-        return self.vm.var("cell", s, r, c, v)
+        return self.vm.var("cell", s, r, c, v)  # KeyError: step not numbered
 
     def cell_empty(self, s: int, r: int, c: int):
         return self.cell(s, r, c, EMPTY)
@@ -193,11 +203,14 @@ class _Encoder:
             for d in self._move_targets(r, c):
                 yield (r, c, d), self.vm.var("movesel", s, r, c, d)
 
-    def same_cell(self, s: int, r: int, c: int, nr: int, nc: int):
-        """Clauses asserting cell (r,c) keeps its value from step s to s+1
-        are emitted by callers; this yields (old_lit, new_lit) value pairs."""
-        for v in [EMPTY] + self.patterns:
-            yield self.cell(s, r, c, v), self.cell(s + 1, nr, nc, v)
+    def _keeps(self, s: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Per non-wall cell, its value pairs (-old, new) over the transition
+        s-1 -> s: the clauses (-old or new) keep the cell as it was."""
+        values = [EMPTY] + self.patterns
+        return {
+            (r, c): [(-self.cell(s - 1, r, c, v), self.cell(s, r, c, v)) for v in values]
+            for r, c in self.nonwall
+        }
 
     # -- constraint groups ----------------------------------------------------
     #
@@ -245,7 +258,7 @@ class _Encoder:
     def emit_goal(self, s: int, guard):
         for r, c in self.nonwall:
             for p in self.patterns:
-                self.b.clause(neg(guard), neg(self.cell(s, r, c, p)))
+                self.b.clause(-guard, -self.cell(s, r, c, p))
 
     def emit_no_floating(self, steps: range):
         # a block never rests on an empty cell, at any step
@@ -255,7 +268,7 @@ class _Encoder:
                 if below is FALSE:
                     continue
                 for p in self.patterns:
-                    self.b.clause(neg(self.cell(s, r, c, p)), neg(below))
+                    self.b.clause(-self.cell(s, r, c, p), -below)
 
     def emit_match_flags(self, steps: range):
         # matchflag[s,r,c] <-> cell holds a pattern shared with a neighbour
@@ -272,9 +285,9 @@ class _Encoder:
                     pair_vars[(a, b, p)] = t
                     la = self.cell(s, a[0], a[1], p)
                     lb = self.cell(s, b[0], b[1], p)
-                    self.b.clause(neg(t), la)
-                    self.b.clause(neg(t), lb)
-                    self.b.clause(neg(la), neg(lb), t)
+                    self.b.clause(-t, la)
+                    self.b.clause(-t, lb)
+                    self.b.clause(-la, -lb, t)
             incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
             for (a, b, p), t in pair_vars.items():
                 incident[a].append(t)
@@ -282,8 +295,8 @@ class _Encoder:
             for r, c in self.nonwall:
                 mf = self.vm.var("matchflag", s, r, c)
                 for t in incident[(r, c)]:
-                    self.b.clause(neg(t), mf)
-                self.b.clause(neg(mf), *incident[(r, c)])
+                    self.b.clause(-t, mf)
+                self.b.clause(-mf, *incident[(r, c)])
 
     def emit_mode_selection(self, steps: range):
         # matching[s] <-> some matchflag at s-1; pinned action vars otherwise
@@ -291,11 +304,11 @@ class _Encoder:
             m = self.vm.var("matching", s)
             flags = [self.vm.var("matchflag", s - 1, r, c) for r, c in self.nonwall]
             for f in flags:
-                self.b.clause(neg(f), m)
-            self.b.clause(neg(m), *flags)
+                self.b.clause(-f, m)
+            self.b.clause(-m, *flags)
             sel = [lit for _, lit in self.msels(s)]
             for lit in sel:
-                self.b.clause(neg(m), neg(lit))  # matching pins moves off
+                self.b.clause(-m, -lit)  # matching pins moves off
             if self.mode == "fixed":
                 self.b.clause(m, *sel)  # each step is a move or a match
                 self.b.at_most_one(sel)
@@ -304,72 +317,64 @@ class _Encoder:
                 mv = self.vm.var("moving", s)
                 self.b.clause(m, d, *sel)
                 self.b.at_most_one([d] + sel)
-                self.b.clause(neg(m), neg(d))
+                self.b.clause(-m, -d)
                 for lit in sel:
-                    self.b.clause(neg(lit), mv)
-                self.b.clause(neg(mv), *sel)
+                    self.b.clause(-lit, mv)
+                self.b.clause(-mv, *sel)
 
     def emit_mapsto(self, steps: range):
         for s in _transition_starts(steps):
             matching = self.vm.var("matching", s + 1)
+            # per cell: its match flag, its empty literal and the negated
+            # mappings to each row of its segment, for the order pairs below
+            order: dict[tuple[int, int], tuple] = {}
             for r, c in self.nonwall:
                 dom = self._mapsto_domain(r, c)
                 lits = [self.vm.var("mapsto", s, r, c, q) for q in dom]
                 self.b.clause(*lits)
                 self.b.at_most_one(lits)
-                zero = self.vm.var("mapsto", s, r, c, 0)
+                zero = lits[0]  # q = 0: not mapped
                 mf = self.vm.var("matchflag", s, r, c)
+                empty = self.cell_empty(s, r, c)
                 # empty cells are not mapped
-                self.b.clause(neg(self.cell_empty(s, r, c)), zero)
+                self.b.clause(-empty, zero)
                 # matched blocks are not mapped
-                self.b.clause(neg(mf), zero)
+                self.b.clause(-mf, zero)
                 # outside matching mode nothing is mapped
                 self.b.clause(matching, zero)
                 # surviving blocks must be mapped somewhere
-                self.b.clause(
-                    neg(matching), mf, self.cell_empty(s, r, c), neg(zero)
-                )
+                self.b.clause(-matching, mf, empty, -zero)
+                order[(r, c)] = (mf, empty, [-lit for lit in lits[1:]])
             # order preservation within each column segment
             for r, c in self.nonwall:
                 rb = r + 1
                 while (rb, c) in self.nonwall_set:
-                    self._emit_order_pair(s, matching, r, rb, c)
+                    self._emit_order_pair(-matching, order[(r, c)], order[(rb, c)])
                     rb += 1
 
-    def _emit_order_pair(self, s: int, matching: int, r: int, rb: int, c: int):
-        guard = [
-            neg(matching),
-            self.vm.var("matchflag", s, r, c),
-            self.cell_empty(s, r, c),
-            self.vm.var("matchflag", s, rb, c),
-            self.cell_empty(s, rb, c),
-        ]
-        dom = [q for q in self._mapsto_domain(r, c) if q]
-        for q1 in dom:
-            for q2 in dom:
-                if q1 >= q2:
-                    self.b.clause(
-                        *guard,
-                        neg(self.vm.var("mapsto", s, r, c, q1)),
-                        neg(self.vm.var("mapsto", s, rb, c, q2)),
-                    )
+    def _emit_order_pair(self, not_matching: int, upper: tuple, lower: tuple):
+        # two surviving blocks of one segment, the upper one at row r above
+        # the lower one at rb, never swap or share a destination: for rows
+        # q1 >= q2 of the segment, not (r -> q1 and rb -> q2)
+        mf_r, empty_r, unmapped_r = upper
+        mf_rb, empty_rb, unmapped_rb = lower
+        guard = (not_matching, mf_r, empty_r, mf_rb, empty_rb)
+        for i, no_q1 in enumerate(unmapped_r):
+            for no_q2 in unmapped_rb[: i + 1]:
+                self.b.clause(*guard, no_q1, no_q2)
 
     def emit_match_transition(self, steps: range):
         for s in _transition_starts(steps):
             matching = self.vm.var("matching", s + 1)
             # mapped blocks carry their value to the destination row
             for r, c in self.nonwall:
+                was = [-self.cell(s, r, c, p) for p in self.patterns]
                 for q in self._mapsto_domain(r, c):
                     if q == 0:
                         continue
                     mt = self.vm.var("mapsto", s, r, c, q)
-                    for p in self.patterns:
-                        self.b.clause(
-                            neg(matching),
-                            neg(mt),
-                            neg(self.cell(s, r, c, p)),
-                            self.cell(s + 1, q, c, p),
-                        )
+                    for p, not_was in zip(self.patterns, was):
+                        self.b.clause(-matching, -mt, not_was, self.cell(s + 1, q, c, p))
             # anything not in the image of the mapping becomes empty
             by_target: dict[tuple[int, int], list[int]] = {}
             for r, c in self.nonwall:
@@ -380,100 +385,95 @@ class _Encoder:
                         )
             for r, c in self.nonwall:
                 sources = by_target.get((r, c), [])
-                self.b.clause(
-                    neg(matching), *sources, self.cell_empty(s + 1, r, c)
-                )
+                self.b.clause(-matching, *sources, self.cell_empty(s + 1, r, c))
 
     def emit_moves(self, steps: range):
         for s in _transition_ends(steps):
+            keep = self._keeps(s)
             dest_vars: dict[tuple[int, int], int] = {}
             for q, c in self.nonwall:
                 dest_vars[(q, c)] = self.vm.aux(f"dest[{s},{q},{c}]")
             self.b.at_most_one(list(dest_vars.values()))
             matching = self.vm.var("matching", s)
             for (q, c), dv in dest_vars.items():
-                self.b.clause(neg(matching), neg(dv))  # pinned off in matching mode
+                self.b.clause(-matching, -dv)  # pinned off in matching mode
                 if self.mode == "varmoves":
-                    self.b.clause(neg(self.vm.var("dummy", s)), neg(dv))
+                    self.b.clause(-self.vm.var("dummy", s), -dv)
                 # something solid beneath the landing row
                 below = self.cell_empty(s - 1, q + 1, c)
                 if below is not FALSE:
-                    self.b.clause(neg(dv), neg(below))
+                    self.b.clause(-dv, -below)
                 # frame: the rest of the destination column is untouched
-                for rho, c2 in self.nonwall:
-                    if c2 != c or rho == q:
-                        continue
-                    for old, new in self.same_cell(s - 1, rho, c, rho, c):
-                        self.b.clause(neg(dv), neg(old), new)
+                for rho in self.col_rows[c]:
+                    if rho != q:
+                        for not_old, new in keep[(rho, c)]:
+                            self.b.clause(-dv, not_old, new)
             for (r, c, d), sel in self.msels(s):
                 c2 = c + d
                 # a patterned source block and an empty target cell
-                self.b.clause(neg(sel), neg(self.cell_empty(s - 1, r, c)))
-                self.b.clause(neg(sel), self.cell_empty(s - 1, r, c2))
+                self.b.clause(-sel, -self.cell_empty(s - 1, r, c))
+                self.b.clause(-sel, self.cell_empty(s - 1, r, c2))
                 # the block lands somewhere below the target, inside its segment
                 candidates = [
                     q for q in range(r, self.seg_bottom[(r, c2)]) if (q, c2) in self.nonwall_set
                 ]
-                self.b.clause(neg(sel), *[dest_vars[(q, c2)] for q in candidates])
+                self.b.clause(-sel, *[dest_vars[(q, c2)] for q in candidates])
+                was = [-self.cell(s - 1, r, c, p) for p in self.patterns]
                 for q in candidates:
                     dv = dest_vars[(q, c2)]
                     # clear fall path from the target down to the landing row
                     for mid in range(r + 1, q + 1):
-                        self.b.clause(neg(sel), neg(dv), self.cell_empty(s - 1, mid, c2))
+                        self.b.clause(-sel, -dv, self.cell_empty(s - 1, mid, c2))
                     # the landing cell receives the moved block's pattern
-                    for p in self.patterns:
-                        self.b.clause(
-                            neg(sel),
-                            neg(dv),
-                            neg(self.cell(s - 1, r, c, p)),
-                            self.cell(s, q, c2, p),
-                        )
-            self._emit_source_column(s)
-            self._emit_column_frames(s, dest_vars)
+                    for p, not_was in zip(self.patterns, was):
+                        self.b.clause(-sel, -dv, not_was, self.cell(s, q, c2, p))
+            self._emit_source_column(s, keep)
+            self._emit_column_frames(s, dest_vars, keep)
 
-    def _emit_source_column(self, s: int):
+    def _emit_source_column(self, s: int, keep):
         # gravity in the vacated column: the contiguous stack resting on the
-        # moved block shifts down one row; everything above a gap stays put
+        # moved block shifts down one row; everything above a gap stays put.
+        # Both moves out of a cell share these clauses but for the selector.
+        shared: dict[tuple[int, int], list[tuple]] = {}
         for (r, c, d), sel in self.msels(s):
-            top = self.seg_top[(r, c)]
-            for rho in range(top + 1, r + 1):
-                gap = [self.cell_empty(s - 1, b, c) for b in range(rho, r)]
-                above = (rho - 1, c)
-                if above in self.nonwall_set:
-                    for p in self.patterns:
-                        self.b.clause(
-                            neg(sel), *gap,
-                            neg(self.cell(s - 1, rho - 1, c, p)),
-                            self.cell(s, rho, c, p),
-                        )
-                    self.b.clause(
-                        neg(sel), *gap,
-                        neg(self.cell_empty(s - 1, rho - 1, c)),
-                        self.cell_empty(s, rho, c),
-                    )
-                else:
-                    # nothing can fall from a wall: the row empties
-                    self.b.clause(neg(sel), *gap, self.cell_empty(s, rho, c))
-            # frame: rows above an existing gap (or above the segment wall)
-            for q in range(2, r):
-                if (q, c) not in self.nonwall_set:
-                    continue
-                if q <= top:
-                    for old, new in self.same_cell(s - 1, q, c, q, c):
-                        self.b.clause(neg(sel), neg(old), new)
-                else:
-                    for b in range(q, r):
-                        witness = self.cell_empty(s - 1, b, c)
-                        for old, new in self.same_cell(s - 1, q, c, q, c):
-                            self.b.clause(neg(sel), neg(witness), neg(old), new)
-            # frame: everything below the vacated row keeps its value
-            for q in range(r + 1, self.H):
-                if (q, c) not in self.nonwall_set:
-                    continue
-                for old, new in self.same_cell(s - 1, q, c, q, c):
-                    self.b.clause(neg(sel), neg(old), new)
+            if (r, c) not in shared:
+                shared[(r, c)] = self._source_column_bodies(s, r, c, keep)
+            not_sel = -sel
+            for body in shared[(r, c)]:
+                self.b.clause(not_sel, *body)
 
-    def _emit_column_frames(self, s: int, dest_vars: dict[tuple[int, int], int]):
+    def _source_column_bodies(self, s: int, r: int, c: int, keep) -> list[tuple]:
+        top = self.seg_top[(r, c)]
+        empty_before = {b: self.cell_empty(s - 1, b, c) for b in range(top + 1, r)}
+        bodies: list[tuple] = []
+        for rho in range(top + 1, r + 1):
+            gap = tuple(empty_before[b] for b in range(rho, r))
+            if (rho - 1, c) in self.nonwall_set:
+                for p in self.patterns:
+                    bodies.append(
+                        (*gap, -self.cell(s - 1, rho - 1, c, p), self.cell(s, rho, c, p))
+                    )
+                bodies.append((*gap, -empty_before[rho - 1], self.cell_empty(s, rho, c)))
+            else:
+                # nothing can fall from a wall: the row empties
+                bodies.append((*gap, self.cell_empty(s, rho, c)))
+        # frame: rows above an existing gap (or above the segment wall)
+        for q in range(2, r):
+            if (q, c) not in self.nonwall_set:
+                continue
+            if q <= top:
+                bodies.extend(keep[(q, c)])
+            else:
+                for b in range(q, r):
+                    not_witness = -empty_before[b]
+                    bodies.extend((not_witness, *pair) for pair in keep[(q, c)])
+        # frame: everything below the vacated row keeps its value
+        for q in range(r + 1, self.H):
+            if (q, c) in self.nonwall_set:
+                bodies.extend(keep[(q, c)])
+        return bodies
+
+    def _emit_column_frames(self, s: int, dest_vars: dict[tuple[int, int], int], keep):
         # frame: columns that are neither source nor destination are unchanged
         matching = self.vm.var("matching", s)
         cols = sorted({c for _, c in self.nonwall})
@@ -486,31 +486,29 @@ class _Encoder:
             dst_col[c] = dv
             sels = [lit for (r0, c0, d0), lit in self.msels(s) if c0 == c]
             for lit in sels:
-                self.b.clause(neg(lit), sv)
-            self.b.clause(neg(sv), *sels)
+                self.b.clause(-lit, sv)
+            self.b.clause(-sv, *sels)
             dests = [dest_vars[(q, c2)] for (q, c2) in dest_vars if c2 == c]
             for lit in dests:
-                self.b.clause(neg(lit), dv)
-            self.b.clause(neg(dv), *dests)
+                self.b.clause(-lit, dv)
+            self.b.clause(-dv, *dests)
         for r, c in self.nonwall:
-            for old, new in self.same_cell(s - 1, r, c, r, c):
-                self.b.clause(
-                    matching, src_col[c], dst_col[c], neg(old), new
-                )
+            for not_old, new in keep[(r, c)]:
+                self.b.clause(matching, src_col[c], dst_col[c], not_old, new)
 
     def emit_varmoves_extras(self, max_moves: int) -> list[int]:
         # dummy steps freeze the grid and bunch up at the end of the plan
         for s in range(1, self.S + 1):
             d = self.vm.var("dummy", s)
             if s < self.S:
-                self.b.clause(neg(d), self.vm.var("dummy", s + 1))
-            for r, c in self.nonwall:
-                for old, new in self.same_cell(s - 1, r, c, r, c):
-                    self.b.clause(neg(d), neg(old), new)
+                self.b.clause(-d, self.vm.var("dummy", s + 1))
+            for pairs in self._keeps(s).values():
+                for not_old, new in pairs:
+                    self.b.clause(-d, not_old, new)
         moving = [self.vm.var("moving", s) for s in range(1, self.S + 1)]
         unary = self.b.totalizer(self.vm, moving, "cnt")
         if max_moves < len(unary):
-            self.b.clause(neg(unary[max_moves]))
+            self.b.clause(-unary[max_moves])
         return unary
 
     def finish(self, meta: dict, unary=()) -> CnfInstance:
@@ -739,7 +737,7 @@ def solve_iterative(
                 return done(SearchResult(BudgetExhausted(), stats))
             stats.generated = len(instance.clauses)  # every clause given so far
             if model is None:
-                enc.b.clause(neg(goal))
+                enc.b.clause(-goal)
                 continue
             decoded = decode_model(instance, model)
             plan, trace = _replay_plan(level, decoded.plan)

@@ -52,6 +52,23 @@ class TestNoTraceback:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encode", A13, "--horizon", "2", "--output", "{tmp}"),
+            ("encode", A13, "--horizon", "2", "--output", "{tmp}/missing/x.cnf"),
+            ("encode", A13, "--horizon", "2", "--output", "{tmp}/file/x.cnf"),
+            ("export", A13, "--out-dir", "{tmp}/file/pddl"),
+            ("export", A13, "--out-dir", "{tmp}/file"),
+        ],
+    )
+    def test_unwritable_output_exits_one(self, tmp_path, argv):
+        # a regular file as a parent directory cannot be created or entered
+        (tmp_path / "file").write_text("not a directory\n")
+        code, _, err = run_process(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_non_utf8_file_exits_one(self, tmp_path, command):
         bad = tmp_path / "bad.txt"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from puzznic import cnf, encoder
 from puzznic.backends import InternalBackend
-from puzznic.cnf import FALSE, TRUE, ClauseBuilder, VarMap, neg, parse_solver_output
+from puzznic.cnf import FALSE, TRUE, ClauseBuilder, VarMap, parse_solver_output
 from puzznic.satsolver import CdclSolver, SolverBudgetExceeded, _luby, solve_clauses
 
 # Search fingerprints of one solve on a fresh solver: (level, mode, horizon
@@ -171,9 +171,9 @@ class TestClauseBuilder:
         assert b.clauses == [(1, -2)]
 
     def test_neg(self):
-        assert neg(TRUE) is FALSE
-        assert neg(FALSE) is TRUE
-        assert neg(5) == -5
+        assert -TRUE is FALSE
+        assert -FALSE is TRUE
+        assert -5 == -5
 
     def test_at_most_one(self):
         b = ClauseBuilder()

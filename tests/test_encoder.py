@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,49 @@ class _StubExternal(ExternalBackend):
 def test_dimacs_is_pinned(corpus, name, mode, n, digest):
     instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, n)
     assert hashlib.sha256(instance.to_dimacs().encode()).hexdigest() == digest
+
+
+def _encodings(level, mode, n):
+    """The instance of `encode_<mode>(level, n)`, or with mode "iterative"
+    every instance `solve_iterative`'s fixed route builds by `add_step` up
+    to bound n, each call answered UNSAT so that every horizon is built."""
+    if mode != "iterative":
+        return [getattr(encoder, f"encode_{mode}")(level, n)]
+    built: list[CnfInstance] = []
+
+    def unsat(instance, assumptions=(), deadline=None):
+        built.append(instance)
+        return None
+
+    encoder.solve_iterative(level, mode="fixed", bound=n, backend=unsat)
+    return built
+
+
+class TestReferenceWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["fixed", "varmoves", "iterative"]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_reference_fold_and_writer(self, seed, mode, n):
+        level = oracles.random_quiescent(random.Random(seed), max_h=6, max_w=6).grid
+        got = _encodings(level, mode, n)
+        with mock.patch.object(encoder, "ClauseBuilder", oracles.ReferenceClauseBuilder):
+            want = _encodings(level, mode, n)
+        assert [i.clauses for i in got] == [i.clauses for i in want]
+        for instance in got:
+            assert instance.to_dimacs() == oracles.reference_dimacs(instance)
+
+    @pytest.mark.parametrize(
+        "clauses,body",
+        [((), []), (((),), ["0"]), (((1, -2), (), (-1,)), ["1 -2 0", "0", "-1 0"])],
+    )
+    def test_empty_clause_prints_as_zero(self, clauses, body):
+        instance = CnfInstance(2, clauses, VarMap([("matching", 1), ("matching", 2)]), {})
+        text = instance.to_dimacs()
+        assert text.splitlines()[3:] == body
+        assert text == oracles.reference_dimacs(instance)
 
 
 class TestEncodeFixed:
@@ -314,6 +358,28 @@ class TestIncrementalHorizons:
             trace = result.outcome.trace
             assert trace.move_count + trace.match_count == optimum
             assert backend.verdicts == [(n, n == optimum) for n in range(1, optimum + 1)]
+
+
+class TestVarmovesDifferential:
+    BOUND = 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_agrees_with_bfs_optimum(self, seed, solvable):
+        # few random levels are solvable, so draw until one of the wanted
+        # kind turns up (or give up and test the last one drawn)
+        rng = random.Random(seed)
+        for _ in range(64):
+            state = oracles.random_quiescent(rng, max_h=5, max_w=5, n_patterns=2)
+            optimum = oracles.bfs_optimal_moves(state, cap=self.BOUND)
+            if not engine.is_goal(state.grid) and (optimum is not None) == solvable:
+                break
+        result = encoder.solve_iterative(state.grid, mode="varmoves", bound=self.BOUND)
+        if optimum is None:
+            assert isinstance(result.outcome, planner.ProvedUnsolvable)
+        else:
+            assert isinstance(result.outcome, planner.Solved)
+            assert result.outcome.plan.cost == optimum
 
 
 class TestInternalBackendReuse:

@@ -7,17 +7,23 @@ byte-identical; Tseitin auxiliaries follow in creation order.  A formula
 that grows one step at a time numbers each step's meanings, sorted, after
 the variables it already has.
 
-Statically-known cells (walls never hold variables) are the constants TRUE
-and FALSE, which negate to each other with unary minus like any literal.
-They fold where a clause is added, in `ClauseBuilder`, and nowhere else: a
-clause containing TRUE is dropped, FALSE literals are removed, so every
-stored clause holds DIMACS integers only.
+The constants TRUE and FALSE negate to each other with unary minus like any
+literal.  The encoder meets one in a single place, the goal guard, which is
+TRUE when a whole formula is encoded; static wall cells hold no variables
+and no constraint group reads them.  Constants fold where such a clause is
+added, in `ClauseBuilder.clause`: a clause containing TRUE is dropped and
+FALSE literals are removed.  Every other constraint group is built from
+variables by construction and appends its clause tuples to the builder's
+list directly, which saves a method call and two membership scans on each
+of millions of clauses.  Either way every stored clause is a tuple of DIMACS
+integers.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, combinations, compress, repeat
+from operator import add
 from typing import Iterable
 
 
@@ -36,6 +42,7 @@ class _Const:
 
 TRUE = _Const("TRUE")
 FALSE = _Const("FALSE")
+_VALUE_NAMES = {-1: "wall", 0: "empty"}
 
 
 class VarMap:
@@ -85,8 +92,7 @@ class VarMap:
             return None
         if tag == "cell":
             _, s, r, c, v = m
-            names = {-1: "wall", 0: "empty"}
-            return f"cell[{s},{r},{c}]={names.get(v, f'p{v}')}"
+            return f"cell[{s},{r},{c}]={_VALUE_NAMES.get(v) or f'p{v}'}"
         if tag == "movesel":
             _, s, r, c, d = m
             return f"move[{s},{r},{c},{'L' if d < 0 else 'R'}]"
@@ -112,9 +118,17 @@ class VarMap:
 class ClauseBuilder:
     """The clause list of one formula, with constants folded on the way in.
 
-    `clause` is called once per emitted clause, millions of times for a
-    large encoding, so it tests for constants with two membership scans
-    (run in C) and stores the argument tuple itself when neither is there.
+    `clause`, `implies` and `at_most_one` fold constants.  The encoder calls
+    `clause` for the goal, whose guard is TRUE in a whole formula, and the
+    totalizer, which takes any literals, calls `implies`.  `clause` tests for
+    constants with two membership scans (run in C) and stores the argument
+    tuple itself when neither is there.  The groups whose literals are all
+    variables (one-hot cells, the initial state, no floating blocks, match
+    flags, mode selection, mappings and their order, match transitions,
+    moves with their source-column and column frames, the varmoves dummy
+    tail) extend `clauses` with their tuples directly instead, and call
+    `at_most_one` once per list of literals, which keeps the choice of
+    at-most-one encoding in this class.
     """
 
     def __init__(self) -> None:
@@ -138,7 +152,7 @@ class ClauseBuilder:
         if TRUE in concrete:
             self.clauses.extend((-lit,) for lit in concrete if lit is not TRUE)
             return
-        self.clauses.extend(itertools.combinations([-lit for lit in concrete], 2))
+        self.clauses.extend(combinations([-lit for lit in concrete], 2))
 
     def totalizer(self, varmap: VarMap, lits: list[int], origin: str) -> list[int]:
         """Sorted unary counter over `lits`: output[j] is implied whenever at
@@ -170,8 +184,8 @@ class ClauseBuilder:
 class CnfInstance:
     """A propositional encoding plus the meaning of its variables.
 
-    `meta` records the mode ("fixed" or "varmoves"), the horizon, and the
-    level digest.  `unary_moves` holds the sorted move-count literals of the
+    `meta` records the mode ("fixed" or "varmoves"), the horizon and the
+    level.  `unary_moves` holds the sorted move-count literals of the
     varmoves model: unary_moves[j] means "more than j player moves", so
     assuming -unary_moves[k] caps the plan at k moves.
     """
@@ -187,27 +201,24 @@ class CnfInstance:
         """DIMACS text: a `c map` comment per named variable, the header, one
         0-terminated line per clause.
 
-        A variable occurs in many clauses, so the text of each literal with
-        its trailing space ("5 ", "-5 ") is made once, in a token table
-        built per call, and every clause line is a C-level join of table
-        lookups.  A literal that names no variable (0, or beyond num_vars)
-        raises KeyError."""
-        lines = []
-        for var, _ in self.varmap.iter_meanings():
-            desc = self.varmap.describe(var)
-            if desc is not None:
-                lines.append(f"c map {var} {desc}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        head = "\n".join(lines) + "\n"
-        if not self.clauses:
-            return head
-        token = {}
-        for var in range(1, self.num_vars + 1):
-            token[var] = f"{var} "
-            token[-var] = f"-{var} "
-        text = token.__getitem__
-        body = "0\n".join(["".join(map(text, clause)) for clause in self.clauses])
-        return f"{head}{body}0\n"
+        The body is one C-level join over a flat stream of tokens: each
+        clause with the sentinel None appended by tuple concatenation,
+        flattened by `chain`, each item looked up in a token table built per
+        call.  The table maps a literal to its text with the trailing space
+        ("5 ", "-5 ") and None to "0\n", so no Python code runs per clause
+        or per literal.  A literal that names no variable (0, or beyond
+        num_vars) is not in the table and raises KeyError."""
+        vm = self.varmap
+        named = range(1, len(vm) + 1)
+        descs = list(map(vm.describe, named))
+        head = "".join(map("c map {} {}\n".format, compress(named, descs), filter(None, descs)))
+        variables = range(1, self.num_vars + 1)
+        token = dict(zip(variables, [f"{v} " for v in variables]))
+        token.update(zip(range(-1, -self.num_vars - 1, -1), [f"-{v} " for v in variables]))
+        token[None] = "0\n"
+        stream = chain.from_iterable(map(add, self.clauses, repeat((None,))))
+        body = "".join(map(token.__getitem__, stream))
+        return f"{head}p cnf {self.num_vars} {len(self.clauses)}\n{body}"
 
 
 def parse_solver_output(text: str) -> tuple[str, list[int]]:

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 
 from puzznic import engine
-from puzznic.cnf import FALSE, TRUE, ClauseBuilder, CnfInstance, VarMap
+from puzznic.cnf import TRUE, ClauseBuilder, CnfInstance, VarMap
 from puzznic.engine import EMPTY, LEFT, RIGHT, WALL, Grid, Move, QuiescentState
 from puzznic.planner import (
     BudgetExhausted,
@@ -127,7 +127,8 @@ class _Encoder:
             self.seg_top[(r, c)] = top  # wall row above the segment
             self.seg_bottom[(r, c)] = bottom  # wall row below
         self.vm = VarMap(())
-        self.cells: dict[tuple[int, int, int, int], int] = {}  # (s, r, c, v) -> var
+        # (s, r, c, v) -> var of grid[s, r, c] == v; walls hold no variables
+        self.cells: dict[tuple[int, int, int, int], int] = {}
         self.hints: list[int] = []  # branch_hints: action variables, in order
         self._number(range(horizon + 1))
         self.b = ClauseBuilder()
@@ -179,36 +180,21 @@ class _Encoder:
 
     # -- literal helpers ----------------------------------------------------
 
-    def cell(self, s: int, r: int, c: int, v: int):
-        """Literal for grid[s, r, c] == v; constant for static wall cells."""
-        lit = self.cells.get((s, r, c, v))
-        if lit is not None:
-            return lit
-        if (r, c) not in self.nonwall_set:
-            return TRUE if v == WALL else FALSE
-        if v == WALL:
-            return FALSE
-        return self.vm.var("cell", s, r, c, v)  # KeyError: step not numbered
-
-    def cell_empty(self, s: int, r: int, c: int):
-        return self.cell(s, r, c, EMPTY)
-
-    def msel(self, s: int, r: int, c: int, d: int):
-        if not self.vm.has("movesel", s, r, c, d):
-            return FALSE
-        return self.vm.var("movesel", s, r, c, d)
-
-    def msels(self, s: int):
-        for r, c in self.nonwall:
-            for d in self._move_targets(r, c):
-                yield (r, c, d), self.vm.var("movesel", s, r, c, d)
+    def msels(self, s: int) -> list[tuple[tuple[int, int, int], int]]:
+        """((r, c, d), selector) of every move at step s, row-major, left first."""
+        var = self.vm.var
+        return [
+            ((r, c, d), var("movesel", s, r, c, d))
+            for r, c in self.nonwall
+            for d in self._move_targets(r, c)
+        ]
 
     def _keeps(self, s: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Per non-wall cell, its value pairs (-old, new) over the transition
         s-1 -> s: the clauses (-old or new) keep the cell as it was."""
-        values = [EMPTY] + self.patterns
+        cells, values = self.cells, [EMPTY] + self.patterns
         return {
-            (r, c): [(-self.cell(s - 1, r, c, v), self.cell(s, r, c, v)) for v in values]
+            (r, c): [(-cells[s - 1, r, c, v], cells[s, r, c, v]) for v in values]
             for r, c in self.nonwall
         }
 
@@ -218,6 +204,11 @@ class _Encoder:
     # for t >= 1, the transition t-1 -> t (its action, the match flags and
     # row mappings of t-1).  `emit_window` over range(S + 1) is the whole
     # formula; over range(n, n + 1) it is what horizon n adds to horizon n-1.
+    #
+    # Groups read cells only where they are not walls, so their literals are
+    # variables and they extend the clause list with their tuples directly.
+    # The goal alone can meet a constant (its guard is TRUE in a whole
+    # formula) and goes through `ClauseBuilder.clause`, which folds it.
 
     def emit_window(self, steps: range, goal_guard=None):
         """Every constraint group over `steps`, in the DIMACS order.  The goal
@@ -244,31 +235,31 @@ class _Encoder:
         return goal
 
     def emit_one_hot_cells(self, steps: range):
+        cells, values, out = self.cells, [EMPTY] + self.patterns, self.b.clauses
         for s in steps:
             for r, c in self.nonwall:
-                lits = [self.cell(s, r, c, v) for v in [EMPTY] + self.patterns]
-                self.b.clause(*lits)
+                lits = tuple([cells[s, r, c, v] for v in values])
+                out.append(lits)
                 self.b.at_most_one(lits)
 
     def emit_initial(self, steps: range):
         if 0 in steps:
-            for r, c in self.nonwall:
-                self.b.clause(self.cell(0, r, c, self.level.at(r, c)))
+            cells, at = self.cells, self.level.at
+            self.b.clauses.extend([(cells[0, r, c, at(r, c)],) for r, c in self.nonwall])
 
     def emit_goal(self, s: int, guard):
         for r, c in self.nonwall:
             for p in self.patterns:
-                self.b.clause(-guard, -self.cell(s, r, c, p))
+                self.b.clause(-guard, -self.cells[s, r, c, p])
 
     def emit_no_floating(self, steps: range):
         # a block never rests on an empty cell, at any step
+        cells, patterns, out = self.cells, self.patterns, self.b.clauses
         for s in steps:
             for r, c in self.nonwall:
-                below = self.cell_empty(s, r + 1, c)
-                if below is FALSE:
-                    continue
-                for p in self.patterns:
-                    self.b.clause(-self.cell(s, r, c, p), -below)
+                if (r + 1, c) in self.nonwall_set:
+                    not_below = -cells[s, r + 1, c, EMPTY]
+                    out.extend([(-cells[s, r, c, p], not_below) for p in patterns])
 
     def emit_match_flags(self, steps: range):
         # matchflag[s,r,c] <-> cell holds a pattern shared with a neighbour
@@ -277,73 +268,65 @@ class _Encoder:
             for nr, nc in ((r + 1, c), (r, c + 1)):
                 if (nr, nc) in self.nonwall_set:
                     edges.append(((r, c), (nr, nc)))
+        cells, out, aux = self.cells, self.b.clauses, self.vm.aux
         for s in _transition_starts(steps):
-            pair_vars: dict[tuple, int] = {}
-            for (a, b) in edges:
-                for p in self.patterns:
-                    t = self.vm.aux(f"pair[{s},{a[0]},{a[1]},{b[0]},{b[1]},p{p}]")
-                    pair_vars[(a, b, p)] = t
-                    la = self.cell(s, a[0], a[1], p)
-                    lb = self.cell(s, b[0], b[1], p)
-                    self.b.clause(-t, la)
-                    self.b.clause(-t, lb)
-                    self.b.clause(-la, -lb, t)
             incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
-            for (a, b, p), t in pair_vars.items():
-                incident[a].append(t)
-                incident[b].append(t)
+            for a, b in edges:
+                for p in self.patterns:
+                    t = aux(f"pair[{s},{a[0]},{a[1]},{b[0]},{b[1]},p{p}]")
+                    la = cells[(s, *a, p)]
+                    lb = cells[(s, *b, p)]
+                    out += ((-t, la), (-t, lb), (-la, -lb, t))
+                    incident[a].append(t)
+                    incident[b].append(t)
             for r, c in self.nonwall:
                 mf = self.vm.var("matchflag", s, r, c)
-                for t in incident[(r, c)]:
-                    self.b.clause(-t, mf)
-                self.b.clause(-mf, *incident[(r, c)])
+                pairs = incident[(r, c)]
+                out.extend([(-t, mf) for t in pairs])
+                out.append((-mf, *pairs))
 
     def emit_mode_selection(self, steps: range):
         # matching[s] <-> some matchflag at s-1; pinned action vars otherwise
+        var, out = self.vm.var, self.b.clauses
         for s in _transition_ends(steps):
-            m = self.vm.var("matching", s)
-            flags = [self.vm.var("matchflag", s - 1, r, c) for r, c in self.nonwall]
-            for f in flags:
-                self.b.clause(-f, m)
-            self.b.clause(-m, *flags)
+            m = var("matching", s)
+            flags = [var("matchflag", s - 1, r, c) for r, c in self.nonwall]
+            out.extend([(-f, m) for f in flags])
+            out.append((-m, *flags))
             sel = [lit for _, lit in self.msels(s)]
-            for lit in sel:
-                self.b.clause(-m, -lit)  # matching pins moves off
+            out.extend([(-m, -lit) for lit in sel])  # matching pins moves off
             if self.mode == "fixed":
-                self.b.clause(m, *sel)  # each step is a move or a match
+                out.append((m, *sel))  # each step is a move or a match
                 self.b.at_most_one(sel)
             else:
-                d = self.vm.var("dummy", s)
-                mv = self.vm.var("moving", s)
-                self.b.clause(m, d, *sel)
+                d = var("dummy", s)
+                mv = var("moving", s)
+                out.append((m, d, *sel))
                 self.b.at_most_one([d] + sel)
-                self.b.clause(-m, -d)
-                for lit in sel:
-                    self.b.clause(-lit, mv)
-                self.b.clause(-mv, *sel)
+                out.append((-m, -d))
+                out.extend([(-lit, mv) for lit in sel])
+                out.append((-mv, *sel))
 
     def emit_mapsto(self, steps: range):
+        var, out = self.vm.var, self.b.clauses
         for s in _transition_starts(steps):
-            matching = self.vm.var("matching", s + 1)
+            matching = var("matching", s + 1)
             # per cell: its match flag, its empty literal and the negated
             # mappings to each row of its segment, for the order pairs below
             order: dict[tuple[int, int], tuple] = {}
             for r, c in self.nonwall:
-                dom = self._mapsto_domain(r, c)
-                lits = [self.vm.var("mapsto", s, r, c, q) for q in dom]
-                self.b.clause(*lits)
-                self.b.at_most_one(lits)
+                lits = [var("mapsto", s, r, c, q) for q in self._mapsto_domain(r, c)]
                 zero = lits[0]  # q = 0: not mapped
-                mf = self.vm.var("matchflag", s, r, c)
-                empty = self.cell_empty(s, r, c)
-                # empty cells are not mapped
-                self.b.clause(-empty, zero)
-                # matched blocks are not mapped
-                self.b.clause(-mf, zero)
-                # outside matching mode nothing is mapped
-                self.b.clause(matching, zero)
-                # surviving blocks must be mapped somewhere
-                self.b.clause(-matching, mf, empty, -zero)
+                mf = var("matchflag", s, r, c)
+                empty = self.cells[s, r, c, EMPTY]
+                out.append(tuple(lits))
+                self.b.at_most_one(lits)
+                out += (
+                    (-empty, zero),  # empty cells are not mapped
+                    (-mf, zero),  # matched blocks are not mapped
+                    (matching, zero),  # outside matching mode nothing is mapped
+                    (-matching, mf, empty, -zero),  # survivors are mapped somewhere
+                )
                 order[(r, c)] = (mf, empty, [-lit for lit in lits[1:]])
             # order preservation within each column segment
             for r, c in self.nonwall:
@@ -358,105 +341,123 @@ class _Encoder:
         # q1 >= q2 of the segment, not (r -> q1 and rb -> q2)
         mf_r, empty_r, unmapped_r = upper
         mf_rb, empty_rb, unmapped_rb = lower
-        guard = (not_matching, mf_r, empty_r, mf_rb, empty_rb)
-        for i, no_q1 in enumerate(unmapped_r):
-            for no_q2 in unmapped_rb[: i + 1]:
-                self.b.clause(*guard, no_q1, no_q2)
+        self.b.clauses.extend(
+            [
+                (not_matching, mf_r, empty_r, mf_rb, empty_rb, no_q1, no_q2)
+                for i, no_q1 in enumerate(unmapped_r)
+                for no_q2 in unmapped_rb[: i + 1]
+            ]
+        )
 
     def emit_match_transition(self, steps: range):
+        var, cells, out = self.vm.var, self.cells, self.b.clauses
         for s in _transition_starts(steps):
-            matching = self.vm.var("matching", s + 1)
+            not_matching = -var("matching", s + 1)
             # mapped blocks carry their value to the destination row
-            for r, c in self.nonwall:
-                was = [-self.cell(s, r, c, p) for p in self.patterns]
-                for q in self._mapsto_domain(r, c):
-                    if q == 0:
-                        continue
-                    mt = self.vm.var("mapsto", s, r, c, q)
-                    for p, not_was in zip(self.patterns, was):
-                        self.b.clause(-matching, -mt, not_was, self.cell(s + 1, q, c, p))
-            # anything not in the image of the mapping becomes empty
             by_target: dict[tuple[int, int], list[int]] = {}
             for r, c in self.nonwall:
-                for q in self._mapsto_domain(r, c):
-                    if q:
-                        by_target.setdefault((q, c), []).append(
-                            self.vm.var("mapsto", s, r, c, q)
-                        )
+                was = [-cells[s, r, c, p] for p in self.patterns]
+                for q in self._mapsto_domain(r, c)[1:]:
+                    mt = var("mapsto", s, r, c, q)
+                    by_target.setdefault((q, c), []).append(mt)
+                    out.extend(
+                        [
+                            (not_matching, -mt, not_was, cells[s + 1, q, c, p])
+                            for p, not_was in zip(self.patterns, was)
+                        ]
+                    )
+            # anything not in the image of the mapping becomes empty
             for r, c in self.nonwall:
-                sources = by_target.get((r, c), [])
-                self.b.clause(-matching, *sources, self.cell_empty(s + 1, r, c))
+                sources = by_target.get((r, c), ())
+                out.append((not_matching, *sources, cells[s + 1, r, c, EMPTY]))
 
     def emit_moves(self, steps: range):
+        cells, patterns, out = self.cells, self.patterns, self.b.clauses
         for s in _transition_ends(steps):
             keep = self._keeps(s)
+            msels = self.msels(s)
             dest_vars: dict[tuple[int, int], int] = {}
             for q, c in self.nonwall:
                 dest_vars[(q, c)] = self.vm.aux(f"dest[{s},{q},{c}]")
             self.b.at_most_one(list(dest_vars.values()))
-            matching = self.vm.var("matching", s)
+            not_matching = -self.vm.var("matching", s)
+            not_dummy = -self.vm.var("dummy", s) if self.mode == "varmoves" else None
             for (q, c), dv in dest_vars.items():
-                self.b.clause(-matching, -dv)  # pinned off in matching mode
-                if self.mode == "varmoves":
-                    self.b.clause(-self.vm.var("dummy", s), -dv)
+                not_dv = -dv
+                out.append((not_matching, not_dv))  # pinned off in matching mode
+                if not_dummy is not None:
+                    out.append((not_dummy, not_dv))
                 # something solid beneath the landing row
-                below = self.cell_empty(s - 1, q + 1, c)
-                if below is not FALSE:
-                    self.b.clause(-dv, -below)
+                if (q + 1, c) in self.nonwall_set:
+                    out.append((not_dv, -cells[s - 1, q + 1, c, EMPTY]))
                 # frame: the rest of the destination column is untouched
-                for rho in self.col_rows[c]:
-                    if rho != q:
-                        for not_old, new in keep[(rho, c)]:
-                            self.b.clause(-dv, not_old, new)
-            for (r, c, d), sel in self.msels(s):
+                out.extend(
+                    [
+                        (not_dv, not_old, new)
+                        for rho in self.col_rows[c]
+                        if rho != q
+                        for not_old, new in keep[(rho, c)]
+                    ]
+                )
+            for (r, c, d), sel in msels:
                 c2 = c + d
+                not_sel = -sel
                 # a patterned source block and an empty target cell
-                self.b.clause(-sel, -self.cell_empty(s - 1, r, c))
-                self.b.clause(-sel, self.cell_empty(s - 1, r, c2))
+                out.append((not_sel, -cells[s - 1, r, c, EMPTY]))
+                out.append((not_sel, cells[s - 1, r, c2, EMPTY]))
                 # the block lands somewhere below the target, inside its segment
-                candidates = [
-                    q for q in range(r, self.seg_bottom[(r, c2)]) if (q, c2) in self.nonwall_set
-                ]
-                self.b.clause(-sel, *[dest_vars[(q, c2)] for q in candidates])
-                was = [-self.cell(s - 1, r, c, p) for p in self.patterns]
-                for q in candidates:
-                    dv = dest_vars[(q, c2)]
+                landing = [(q, dest_vars[(q, c2)]) for q in range(r, self.seg_bottom[(r, c2)])]
+                out.append((not_sel, *[dv for _, dv in landing]))
+                was = [-cells[s - 1, r, c, p] for p in patterns]
+                for q, dv in landing:
+                    not_dv = -dv
                     # clear fall path from the target down to the landing row
-                    for mid in range(r + 1, q + 1):
-                        self.b.clause(-sel, -dv, self.cell_empty(s - 1, mid, c2))
+                    out.extend(
+                        [
+                            (not_sel, not_dv, cells[s - 1, mid, c2, EMPTY])
+                            for mid in range(r + 1, q + 1)
+                        ]
+                    )
                     # the landing cell receives the moved block's pattern
-                    for p, not_was in zip(self.patterns, was):
-                        self.b.clause(-sel, -dv, not_was, self.cell(s, q, c2, p))
-            self._emit_source_column(s, keep)
-            self._emit_column_frames(s, dest_vars, keep)
+                    out.extend(
+                        [
+                            (not_sel, not_dv, not_was, cells[s, q, c2, p])
+                            for p, not_was in zip(patterns, was)
+                        ]
+                    )
+            self._emit_source_column(s, msels, keep)
+            self._emit_column_frames(s, msels, dest_vars, keep)
 
-    def _emit_source_column(self, s: int, keep):
+    def _emit_source_column(self, s: int, msels, keep):
         # gravity in the vacated column: the contiguous stack resting on the
         # moved block shifts down one row; everything above a gap stays put.
         # Both moves out of a cell share these clauses but for the selector.
         shared: dict[tuple[int, int], list[tuple]] = {}
-        for (r, c, d), sel in self.msels(s):
+        out = self.b.clauses
+        for (r, c, d), sel in msels:
             if (r, c) not in shared:
                 shared[(r, c)] = self._source_column_bodies(s, r, c, keep)
-            not_sel = -sel
-            for body in shared[(r, c)]:
-                self.b.clause(not_sel, *body)
+            guard = (-sel,)
+            out.extend([guard + body for body in shared[(r, c)]])
 
     def _source_column_bodies(self, s: int, r: int, c: int, keep) -> list[tuple]:
+        cells = self.cells
         top = self.seg_top[(r, c)]
-        empty_before = {b: self.cell_empty(s - 1, b, c) for b in range(top + 1, r)}
+        empty_before = {b: cells[s - 1, b, c, EMPTY] for b in range(top + 1, r)}
         bodies: list[tuple] = []
         for rho in range(top + 1, r + 1):
-            gap = tuple(empty_before[b] for b in range(rho, r))
+            gap = tuple([empty_before[b] for b in range(rho, r)])
             if (rho - 1, c) in self.nonwall_set:
-                for p in self.patterns:
-                    bodies.append(
-                        (*gap, -self.cell(s - 1, rho - 1, c, p), self.cell(s, rho, c, p))
-                    )
-                bodies.append((*gap, -empty_before[rho - 1], self.cell_empty(s, rho, c)))
+                bodies.extend(
+                    [
+                        (*gap, -cells[s - 1, rho - 1, c, p], cells[s, rho, c, p])
+                        for p in self.patterns
+                    ]
+                )
+                bodies.append((*gap, -empty_before[rho - 1], cells[s, rho, c, EMPTY]))
             else:
                 # nothing can fall from a wall: the row empties
-                bodies.append((*gap, self.cell_empty(s, rho, c)))
+                bodies.append((*gap, cells[s, rho, c, EMPTY]))
         # frame: rows above an existing gap (or above the segment wall)
         for q in range(2, r):
             if (q, c) not in self.nonwall_set:
@@ -466,49 +467,44 @@ class _Encoder:
             else:
                 for b in range(q, r):
                     not_witness = -empty_before[b]
-                    bodies.extend((not_witness, *pair) for pair in keep[(q, c)])
+                    bodies.extend([(not_witness, *pair) for pair in keep[(q, c)]])
         # frame: everything below the vacated row keeps its value
         for q in range(r + 1, self.H):
             if (q, c) in self.nonwall_set:
                 bodies.extend(keep[(q, c)])
         return bodies
 
-    def _emit_column_frames(self, s: int, dest_vars: dict[tuple[int, int], int], keep):
+    def _emit_column_frames(self, s: int, msels, dest_vars: dict[tuple[int, int], int], keep):
         # frame: columns that are neither source nor destination are unchanged
         matching = self.vm.var("matching", s)
-        cols = sorted({c for _, c in self.nonwall})
+        out = self.b.clauses
         src_col: dict[int, int] = {}
         dst_col: dict[int, int] = {}
-        for c in cols:
-            sv = self.vm.aux(f"srccol[{s},{c}]")
-            dv = self.vm.aux(f"dstcol[{s},{c}]")
-            src_col[c] = sv
-            dst_col[c] = dv
-            sels = [lit for (r0, c0, d0), lit in self.msels(s) if c0 == c]
-            for lit in sels:
-                self.b.clause(-lit, sv)
-            self.b.clause(-sv, *sels)
-            dests = [dest_vars[(q, c2)] for (q, c2) in dest_vars if c2 == c]
-            for lit in dests:
-                self.b.clause(-lit, dv)
-            self.b.clause(-dv, *dests)
-        for r, c in self.nonwall:
-            for not_old, new in keep[(r, c)]:
-                self.b.clause(matching, src_col[c], dst_col[c], not_old, new)
+        for c in sorted(self.col_rows):
+            sv = src_col[c] = self.vm.aux(f"srccol[{s},{c}]")
+            dv = dst_col[c] = self.vm.aux(f"dstcol[{s},{c}]")
+            sels = [lit for (_, c0, _), lit in msels if c0 == c]
+            out.extend([(-lit, sv) for lit in sels])
+            out.append((-sv, *sels))
+            dests = [lit for (_, c0), lit in dest_vars.items() if c0 == c]
+            out.extend([(-lit, dv) for lit in dests])
+            out.append((-dv, *dests))
+        for (r, c), pairs in keep.items():
+            out.extend([(matching, src_col[c], dst_col[c], *pair) for pair in pairs])
 
     def emit_varmoves_extras(self, max_moves: int) -> list[int]:
         # dummy steps freeze the grid and bunch up at the end of the plan
+        out = self.b.clauses
         for s in range(1, self.S + 1):
-            d = self.vm.var("dummy", s)
+            not_d = -self.vm.var("dummy", s)
             if s < self.S:
-                self.b.clause(-d, self.vm.var("dummy", s + 1))
+                out.append((not_d, self.vm.var("dummy", s + 1)))
             for pairs in self._keeps(s).values():
-                for not_old, new in pairs:
-                    self.b.clause(-d, not_old, new)
+                out.extend([(not_d, *pair) for pair in pairs])
         moving = [self.vm.var("moving", s) for s in range(1, self.S + 1)]
         unary = self.b.totalizer(self.vm, moving, "cnt")
         if max_moves < len(unary):
-            self.b.clause(-unary[max_moves])
+            out.append((-unary[max_moves],))
         return unary
 
     def finish(self, meta: dict, unary=()) -> CnfInstance:
@@ -535,7 +531,6 @@ def encode_fixed(
         {
             "mode": "fixed",
             "horizon": n_steps,
-            "level_digest": engine.state_key(level).hex(),
             "level": level,
         }
     )
@@ -565,7 +560,6 @@ def encode_varmoves(
             "mode": "varmoves",
             "horizon": horizon,
             "max_moves": max_moves,
-            "level_digest": engine.state_key(level).hex(),
             "level": level,
         },
         unary,
@@ -723,21 +717,18 @@ def solve_iterative(
             raise BoundExhausted(f"no step horizons within bound {bound}")
         enc = _Encoder(level, 0, "fixed")
         enc.emit_window(range(1))
-        digest = engine.state_key(level).hex()
         for n in range(1, bound + 1):
             if expired():
                 return done(SearchResult(BudgetExhausted(), stats))
             goal = enc.add_step()
-            instance = enc.finish(
-                {"mode": "fixed", "horizon": n, "level_digest": digest, "level": level}
-            )
+            instance = enc.finish({"mode": "fixed", "horizon": n, "level": level})
             try:
                 model = backend(instance, (goal,), deadline)
             except SolverBudgetExceeded:
                 return done(SearchResult(BudgetExhausted(), stats))
             stats.generated = len(instance.clauses)  # every clause given so far
             if model is None:
-                enc.b.clause(-goal)
+                enc.b.clauses.append((-goal,))
                 continue
             decoded = decode_model(instance, model)
             plan, trace = _replay_plan(level, decoded.plan)

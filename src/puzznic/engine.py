@@ -169,6 +169,14 @@ class QuiescentState:
         if matched:
             raise EngineError(f"grid has pending matches at {sorted(matched)}")
 
+    @classmethod
+    def _trusted(cls, grid: Grid) -> QuiescentState:
+        """A state for a grid the caller has just settled and found no
+        match in, without checking that again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "grid", grid)
+        return state
+
 
 def find_unsettled(grid: Grid) -> tuple[int, int] | None:
     """First (row-major) pattern cell resting on an empty cell, if any."""
@@ -250,7 +258,7 @@ def resolve(grid: Grid) -> tuple[QuiescentState, tuple[Event, ...], int]:
         grid = remove_matches(grid, matched)
         events.append(MatchEvent(removed=frozenset(matched), after=grid))
         matches += 1
-    return QuiescentState(grid), tuple(events), matches
+    return QuiescentState._trusted(grid), tuple(events), matches
 
 
 def legal_moves(state: QuiescentState) -> tuple[Move, ...]:
@@ -315,8 +323,8 @@ def is_dead_end(grid: Grid) -> bool:
 def state_key(grid: Grid) -> bytes:
     """Deterministic 128-bit digest of a grid, stable across processes.
 
-    The encoder records it in its metadata; search keys states on `Board`
-    mask tuples instead.
+    Tests and the benchmark corpus generator key grids on it; search keys
+    states on `Board` mask tuples instead.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(bytes((grid.height, grid.width)))

@@ -6,13 +6,12 @@ on the engine's trusted mask path: the root `Grid` is validated once and
 turned into an `engine.Board`, a state is a tuple of per-pattern bitmasks,
 and that tuple is the duplicate-detection key, so no child is built as a
 `Grid`.  The plan found is replayed through `engine.apply_move` for its
-`Trace`.  (`engine.state_key` stays the stable cross-process digest for the
-encoder's metadata; search does not use it.)  Search is pruned by duplicate
-detection, by the singleton-pattern dead-end rule, and (for astar) by an
-admissible lower bound built from horizontal distances: a pattern whose
-closest pair of blocks is k columns apart needs at least k-1 moves before
-its first match, and every move shifts one block of one pattern by one
-column.
+`Trace`.  (Search does not use `engine.state_key`, the stable cross-process
+digest of a grid.)  Search is pruned by duplicate detection, by the
+singleton-pattern dead-end rule, and (for astar) by an admissible lower
+bound built from horizontal distances: a pattern whose closest pair of
+blocks is k columns apart needs at least k-1 moves before its first match,
+and every move shifts one block of one pattern by one column.
 """
 
 from __future__ import annotations

@@ -219,7 +219,8 @@ def reference_neg(lit):
 class ReferenceClauseBuilder(ClauseBuilder):
     """Constant folding literal by literal and pairwise at-most-one clause by
     clause; swapped in for `ClauseBuilder`, it gives the clauses the encoder
-    must produce."""
+    must produce where it goes through the builder (the goal, at-most-one
+    and the totalizer; the other groups append their clauses directly)."""
 
     def clause(self, *lits) -> None:
         out = []

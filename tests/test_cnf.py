@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from puzznic import cnf, encoder
 from puzznic.backends import InternalBackend
-from puzznic.cnf import FALSE, TRUE, ClauseBuilder, VarMap, parse_solver_output
+from puzznic.cnf import FALSE, TRUE, ClauseBuilder, CnfInstance, VarMap, parse_solver_output
 from puzznic.satsolver import CdclSolver, SolverBudgetExceeded, _luby, solve_clauses
 
 # Search fingerprints of one solve on a fresh solver: (level, mode, horizon
@@ -203,6 +203,16 @@ class TestClauseBuilder:
                 )
             if k < 5:
                 assert solve_clauses(clauses + [[-outs[k]]], len(vm)) is not None
+
+
+class TestToDimacs:
+    @pytest.mark.parametrize("bad", [0, 3, -3])
+    def test_literal_naming_no_variable_raises(self, bad):
+        # 0 ends a DIMACS line, so it must never be printed as a literal
+        vm = VarMap([("matching", 1), ("matching", 2)])
+        instance = CnfInstance(2, ((1, -2), (bad, 1)), vm, {})
+        with pytest.raises(KeyError):
+            instance.to_dimacs()
 
 
 class TestVarMap:

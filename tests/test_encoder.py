@@ -27,6 +27,24 @@ PINNED_DIMACS = [
     ("8x8-desk-big", "fixed", 5, "2b3ad9c313072f0686a82b3bd3fb8a2e868949ba6a2f5ee8d41a1f2159ec9fdb"),
 ]
 
+# Per bundled level, one sha256 over the DIMACS text of `encode_fixed` and
+# then `encode_varmoves` at n = 1, 2, 3, in that order.
+PINNED_LEVEL_DIMACS = [
+    ("3x3-desk-solved", "4e1564c30419f8351bddf387c0128c6d5169412980a4ae83e4bf20962011d54f"),
+    ("4x3-desk-singleton", "e0b97d6764d2c369418325ff782125f81313c9805f952e7968b4834132c10ebc"),
+    ("5x3-desk-corridor", "5e09e1f1394d46dc7026ff2fd28cf2edf8f886cb74b90c067373ef768e6da52d"),
+    ("5x5-desk-triple", "8a257cd7d0cb5f16845e533e974c641a79e3adad23b6eb8bf97607403aaaa814"),
+    ("5x7-ps1-a13", "79c3f62f22624131ab6f4abf157972afe76c1648eaf622411f226773028d38ec"),
+    ("6x3-desk-gap3", "ac38440afbceaaa0937790882c7b82dc60e74f0e006a5f1e4d2a0c856eb7c0fe"),
+    ("6x3-desk-sealed", "8676029dab95e0621f50660a817910a30a9e6a3147737501cc74c94ddad64ceb"),
+    ("6x5-desk-pit", "292b7fdfee579f5550dffe6869e502cdcc376548632189f82ef94edd2ae2cf1a"),
+    ("6x5-desk-stack", "0b92289213cd82f67e56f7ec4dfc63b9c6176507fd261b90412e1e85ec015158"),
+    ("7x6-desk-cascade", "6822fbd8cbe987cf8358597a95f4950bb186dd6ab9d46ab285de2dbb17420b96"),
+    ("7x6-desk-walls", "5a16de2550934d8e1e3beb01b369c790c3c65f92618f43d55a5b74d3208fac2a"),
+    ("8x4-desk-twopat", "a89fbeb62ac025220868cbb41591ce7414f416fd3551cf19b6a641490efd8559"),
+    ("8x8-desk-big", "20f34bb5e36a81bc94b6293fc6d6f7828b35bb08c5911215a0ccc18143df95b8"),
+]
+
 
 class _Recording(InternalBackend):
     """Internal backend that records each call's horizon and verdict."""
@@ -88,6 +106,16 @@ def test_dimacs_is_pinned(corpus, name, mode, n, digest):
     assert hashlib.sha256(instance.to_dimacs().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,digest", PINNED_LEVEL_DIMACS)
+def test_level_dimacs_is_pinned(corpus, name, digest):
+    h = hashlib.sha256()
+    for mode in ("fixed", "varmoves"):
+        for n in (1, 2, 3):
+            instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, n)
+            h.update(instance.to_dimacs().encode())
+    assert h.hexdigest() == digest
+
+
 def _encodings(level, mode, n):
     """The instance of `encode_<mode>(level, n)`, or with mode "iterative"
     every instance `solve_iterative`'s fixed route builds by `add_step` up
@@ -129,6 +157,23 @@ class TestReferenceWriter:
         text = instance.to_dimacs()
         assert text.splitlines()[3:] == body
         assert text == oracles.reference_dimacs(instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["fixed", "varmoves", "iterative"]),
+    st.integers(min_value=1, max_value=3),
+)
+def test_no_constant_reaches_a_clause(seed, mode, n):
+    # most groups store their clauses without the builder's constant fold,
+    # so every stored literal must still name a variable
+    level = oracles.random_quiescent(random.Random(seed), max_h=6, max_w=6).grid
+    for instance in _encodings(level, mode, n):
+        for clause in instance.clauses:
+            assert type(clause) is tuple
+            for lit in clause:
+                assert type(lit) is int and 1 <= abs(lit) <= instance.num_vars
 
 
 class TestEncodeFixed:

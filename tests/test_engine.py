@@ -160,6 +160,14 @@ class TestResolve:
 
     @settings(max_examples=60, deadline=None)
     @given(grids())
+    def test_state_passes_the_public_check(self, g):
+        # resolve builds its state without re-checking the grid it settled
+        state, _, _ = engine.resolve(g)
+        assert QuiescentState(state.grid) == state
+        assert hash(QuiescentState(state.grid)) == hash(state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
     def test_idempotent_on_quiescent(self, g):
         state, _, _ = engine.resolve(g)
         again, events, matches = engine.resolve(state.grid)

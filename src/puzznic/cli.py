@@ -95,32 +95,24 @@ def cmd_encode(args) -> int:
 
 
 def _replay(level_path, plan_path):
+    """Read the level and plan files and replay the plan on the level."""
     lf = levels.load_level(level_path)
     try:
         text = pathlib.Path(plan_path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise LevelError(f"{plan_path}: plan is not UTF-8 text ({exc.reason})") from None
-    plan = levels.parse_plan(text)
-    state = QuiescentState(lf.grid)
-    events = []
-    for index, move in enumerate(plan, start=1):
-        try:
-            state, trace, _ = engine.apply_move(state, move)
-        except engine.IllegalMove as exc:
-            return lf, state, events, index, str(exc)
-        events.extend(trace.events)
-    return lf, state, events, None, None
+    return lf, *engine.replay(lf.grid, levels.parse_plan(text))
 
 
 def cmd_check(args) -> int:
     try:
-        lf, state, events, bad_step, why = _replay(args.level, args.plan)
+        _, trace, bad_step, why = _replay(args.level, args.plan)
     except (LevelError, OSError) as exc:
         return _fail(str(exc))
     if bad_step is not None:
         print(f"illegal move at step {bad_step}: {why}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    if not engine.is_goal(state.grid):
+    if not engine.is_goal(trace.final):
         print("plan is legal but the final state is not cleared", file=sys.stderr)
         return EXIT_UNSOLVABLE
     print("plan ok", file=sys.stderr)
@@ -129,10 +121,9 @@ def cmd_check(args) -> int:
 
 def cmd_show(args) -> int:
     try:
-        lf, state, events, bad_step, why = _replay(args.level, args.plan)
+        lf, trace, bad_step, why = _replay(args.level, args.plan)
     except (LevelError, OSError) as exc:
         return _fail(str(exc))
-    trace = engine.Trace(initial=lf.grid, events=tuple(events))
     sys.stdout.write(levels.render_trace(trace, lf.symbol_table))
     if bad_step is not None:
         print(f"illegal move at step {bad_step}: {why}", file=sys.stderr)
@@ -186,13 +177,18 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
             bound = max_moves
             if mode == "fixed":
                 bound = max_moves + encoder.max_match_steps(lf.grid)
-            result = encoder.solve_iterative(
-                lf.grid,
-                mode=mode,
-                bound=bound,
-                backend=default_backend(),
-                time_limit=timeout,
-            )
+            try:
+                result = encoder.solve_iterative(
+                    lf.grid,
+                    mode=mode,
+                    bound=bound,
+                    backend=default_backend(),
+                    time_limit=timeout,
+                )
+            except encoder.BoundExhausted:
+                # fixed mode at bound 0: a level that is not cleared cannot
+                # be cleared in zero steps
+                result = planner.SearchResult(planner.ProvedUnsolvable(bound))
             if mode == "fixed":
                 measure = "steps"
                 if isinstance(result.outcome, planner.Solved):

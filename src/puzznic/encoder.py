@@ -21,8 +21,9 @@ Two encodings over a step-indexed grid of one-hot cell-value variables:
   over the per-step moving flags is exposed so callers can minimize the
   move count by assuming upper bounds, without re-encoding.
 
-Every decoded model is validated by replaying it through the game engine;
-a mismatch raises ModelInconsistent since it can only mean an encoder bug.
+Every decoded model is validated against one replay of its moves through
+`engine.replay`; a mismatch raises ModelInconsistent since it can only mean
+an encoder bug.  The validated trace is the one the solve route returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from puzznic import engine
 from puzznic.cnf import TRUE, ClauseBuilder, CnfInstance, VarMap
-from puzznic.engine import EMPTY, LEFT, RIGHT, WALL, Grid, Move, QuiescentState
+from puzznic.engine import EMPTY, LEFT, RIGHT, WALL, Grid, Move, Trace
 from puzznic.planner import (
     BudgetExhausted,
     Plan,
@@ -77,6 +78,7 @@ class DecodedPlan:
     plan: Plan
     step_kinds: tuple[str, ...]
     total_steps: int
+    trace: Trace
 
 
 def _validate_level(level: Grid) -> None:
@@ -566,19 +568,14 @@ def encode_varmoves(
     )
 
 
-def _grid_from_model(instance: CnfInstance, assignment, s: int) -> Grid:
+def _grid_from_model(instance: CnfInstance, assignment, s: int, values) -> Grid:
     level = instance.meta["level"]
     vm = instance.varmap
-    patterns = sorted(engine.pattern_counts(level))
     rows = [list(row) for row in level.cells]
     for r, c in level.interior():
         if level.at(r, c) == WALL:
             continue
-        trues = [
-            v
-            for v in [EMPTY] + patterns
-            if assignment[vm.var("cell", s, r, c, v)]
-        ]
+        trues = [v for v in values if assignment[vm.var("cell", s, r, c, v)]]
         if len(trues) != 1:
             raise ModelInconsistent(
                 f"cell ({r},{c}) at step {s} has {len(trues)} values set"
@@ -588,27 +585,30 @@ def _grid_from_model(instance: CnfInstance, assignment, s: int) -> Grid:
 
 
 def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
-    """Extract the step kinds and moves from a satisfying assignment and
-    validate them by replaying every step through the engine."""
+    """Read the step grids, kinds and moves of a satisfying assignment and
+    check them against one replay of the moves through `engine.replay`.
+
+    Each move or match event of the replayed trace, with the grid after its
+    fall, must equal the model's next non-dummy step; a dummy step must keep
+    the grid and must not come while a match is pending.  Any difference
+    raises ModelInconsistent.  The plan is returned with its trace.
+    """
     vm = instance.varmap
     level: Grid = instance.meta["level"]
     horizon: int = instance.meta["horizon"]
     mode: str = instance.meta["mode"]
+    values = [EMPTY, *sorted(engine.pattern_counts(level))]
 
-    grid = _grid_from_model(instance, assignment, 0)
-    if grid != level:
+    if _grid_from_model(instance, assignment, 0, values) != level:
         raise ModelInconsistent("model initial state differs from the level")
 
-    kinds: list[str] = []
+    steps: list[tuple[int, str, Grid]] = []
     moves: list[Move] = []
+    move_steps: list[int] = []
     for s in range(1, horizon + 1):
-        model_grid = _grid_from_model(instance, assignment, s)
+        grid = _grid_from_model(instance, assignment, s, values)
         if assignment[vm.var("matching", s)]:
-            matched = engine.find_matches(grid)
-            if not matched:
-                raise ModelInconsistent(f"match step {s} with nothing to match")
-            nxt, _ = engine.settle(engine.remove_matches(grid, matched))
-            kinds.append(MATCH_STEP)
+            kind = MATCH_STEP
         else:
             selected = [
                 (r, c, d)
@@ -620,53 +620,51 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
             ]
             if len(selected) > 1:
                 raise ModelInconsistent(f"step {s} selects {len(selected)} moves")
-            if not selected:
-                if mode != "varmoves" or not assignment[vm.var("dummy", s)]:
-                    raise ModelInconsistent(f"step {s} selects no action")
-                if engine.find_matches(grid):
-                    raise ModelInconsistent(f"dummy step {s} with a match pending")
-                kinds.append(DUMMY_STEP)
-                nxt = grid
+            if selected:
+                kind = MOVE_STEP
+                moves.append(Move(*selected[0]))
+                move_steps.append(s)
+            elif mode == "varmoves" and assignment[vm.var("dummy", s)]:
+                kind = DUMMY_STEP
             else:
-                r, c, d = selected[0]
-                if grid.at(r, c) <= EMPTY or grid.at(r, c + d) != EMPTY:
-                    raise ModelInconsistent(f"illegal move at step {s}")
-                nxt, _ = engine.settle(
-                    grid.replace({(r, c): EMPTY, (r, c + d): grid.at(r, c)})
-                )
-                kinds.append(MOVE_STEP)
-                moves.append(Move(r, c, d))
-        if nxt != model_grid:
+                raise ModelInconsistent(f"step {s} selects no action")
+        steps.append((s, kind, grid))
+
+    trace, bad, why = engine.replay(level, moves)
+    if bad is not None:
+        raise ModelInconsistent(f"illegal move at step {move_steps[bad - 1]}: {why}")
+    # the trace as model steps: each move or match with the grid after its fall
+    replayed: list[list] = []
+    for event in trace.events:
+        if isinstance(event, engine.FallEvent):
+            replayed[-1][1] = event.after
+        else:
+            kind = MOVE_STEP if isinstance(event, engine.MoveEvent) else MATCH_STEP
+            replayed.append([kind, event.after])
+
+    k = 0  # trace steps matched so far
+    current = level
+    for s, kind, grid in steps:
+        if kind == DUMMY_STEP:
+            if grid != current:
+                raise ModelInconsistent(f"dummy step {s} changes the grid")
+            if k < len(replayed) and replayed[k][0] == MATCH_STEP:
+                raise ModelInconsistent(f"dummy step {s} with a match pending")
+            continue
+        if k == len(replayed) or replayed[k][0] != kind:
+            raise ModelInconsistent(f"{kind} step {s} diverges from the engine cascade")
+        if replayed[k][1] != grid:
             raise ModelInconsistent(f"step {s} grid diverges from engine replay")
-        grid = nxt
-
-    if not engine.is_goal(grid):
+        current = grid
+        k += 1
+    if k < len(replayed) or not engine.is_goal(trace.final):
         raise ModelInconsistent("model does not reach the goal")
-
-    # cross-validate against the public engine path: the move/match step
-    # sequence must equal the cascade structure of the replayed plan
-    state = QuiescentState(level)
-    engine_kinds: list[str] = []
-    for move in moves:
-        state, _, matches = engine.apply_move(state, move)
-        engine_kinds.append(MOVE_STEP)
-        engine_kinds.extend([MATCH_STEP] * matches)
-    if not engine.is_goal(state.grid):
-        raise ModelInconsistent("extracted plan does not clear the level")
-    non_dummy = [k for k in kinds if k != DUMMY_STEP]
-    if engine_kinds != non_dummy:
-        raise ModelInconsistent("step kinds diverge from engine cascade structure")
 
     return DecodedPlan(
         plan=Plan(tuple(moves)),
-        step_kinds=tuple(kinds),
-        total_steps=len(non_dummy),
-    )
-
-
-def _solved_result(level: Grid, stats: SearchStats) -> SearchResult:
-    return SearchResult(
-        Solved(Plan(()), engine.Trace(initial=level, events=())), stats
+        step_kinds=tuple(kind for _, kind, _ in steps),
+        total_steps=k,
+        trace=trace,
     )
 
 
@@ -687,7 +685,8 @@ def solve_iterative(
     once that horizon is unsatisfiable.  varmoves mode: double max_moves
     (1, 2, 4, ...) up to `bound`, encoding each bound afresh, then minimize
     the move count inside the first feasible horizon by assuming tighter
-    unary bounds.  Either way the returned plan has been replay-validated.
+    unary bounds.  Either way the returned trace is the replay that
+    `decode_model` checked the model against.
     The deadline is checked before every backend call, and the backend
     checks it again while it searches.
     """
@@ -710,7 +709,7 @@ def solve_iterative(
         return deadline is not None and time.monotonic() >= deadline
 
     if engine.is_goal(level):
-        return done(_solved_result(level, stats))
+        return done(SearchResult(Solved(Plan(()), engine.replay(level, ())[0]), stats))
 
     if mode == "fixed":
         if bound < 1:
@@ -731,8 +730,7 @@ def solve_iterative(
                 enc.b.clauses.append((-goal,))
                 continue
             decoded = decode_model(instance, model)
-            plan, trace = _replay_plan(level, decoded.plan)
-            return done(SearchResult(Solved(plan, trace), stats))
+            return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
         return done(SearchResult(ProvedUnsolvable(bound), stats))
 
     if bound < 0:
@@ -772,8 +770,7 @@ def solve_iterative(
         except SolverBudgetExceeded:
             return done(SearchResult(BudgetExhausted(), stats))
         decoded = decode_model(instance, best)
-        plan, trace = _replay_plan(level, decoded.plan)
-        return done(SearchResult(Solved(plan, trace), stats))
+        return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
     return done(SearchResult(ProvedUnsolvable(bound), stats))
 
 
@@ -782,11 +779,3 @@ def _count_moves(instance: CnfInstance, model) -> int:
     horizon = instance.meta["horizon"]
     return sum(1 for s in range(1, horizon + 1) if model[vm.var("moving", s)])
 
-
-def _replay_plan(level: Grid, plan: Plan):
-    state = QuiescentState(level)
-    events = []
-    for move in plan.moves:
-        state, trace, _ = engine.apply_move(state, move)
-        events.extend(trace.events)
-    return plan, engine.Trace(initial=level, events=tuple(events))

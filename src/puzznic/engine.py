@@ -296,6 +296,23 @@ def apply_move(state: QuiescentState, move: Move) -> tuple[QuiescentState, Trace
     return new_state, Trace(initial=grid, events=tuple(events)), matches
 
 
+def replay(grid: Grid, moves) -> tuple[Trace, int | None, str | None]:
+    """Play `moves` from a quiescent grid through `apply_move`.
+
+    Returns the trace of the legal prefix, and for the first illegal move
+    its 1-based index and the reason (both None when every move is legal).
+    """
+    state = QuiescentState(grid)
+    events: list[Event] = []
+    for index, move in enumerate(moves, start=1):
+        try:
+            state, trace, _ = apply_move(state, move)
+        except IllegalMove as exc:
+            return Trace(grid, tuple(events)), index, str(exc)
+        events.extend(trace.events)
+    return Trace(grid, tuple(events)), None, None
+
+
 def is_goal(grid: Grid) -> bool:
     """True iff no cell holds a pattern block."""
     return all(v <= EMPTY for row in grid.cells for v in row)

@@ -5,20 +5,20 @@ three algorithms (bfs, astar, iddfs) return minimum-move plans.  They search
 on the engine's trusted mask path: the root `Grid` is validated once and
 turned into an `engine.Board`, a state is a tuple of per-pattern bitmasks,
 and that tuple is the duplicate-detection key, so no child is built as a
-`Grid`.  The plan found is replayed through `engine.apply_move` for its
-`Trace`.  (Search does not use `engine.state_key`, the stable cross-process
-digest of a grid.)  Search is pruned by duplicate detection, by the
-singleton-pattern dead-end rule, and (for astar) by an admissible lower
-bound built from horizontal distances: a pattern whose closest pair of
-blocks is k columns apart needs at least k-1 moves before its first match,
-and every move shifts one block of one pattern by one column.
+`Grid`.  bfs and astar run one best-first loop; bfs is astar with h = 0.
+astar's h is an admissible bound built from horizontal distances: a
+pattern whose closest pair of blocks is k columns apart needs at least k-1
+moves before its first match, and every move shifts one block of one
+pattern by one column.  iddfs prunes only cycles on its path.  All three
+prune duplicates and dead ends (a pattern with a single block).  The plan
+found is replayed once through `engine.replay` for its `Trace`.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
+from functools import partial
 from dataclasses import dataclass, field
 
 from puzznic import engine
@@ -108,15 +108,6 @@ def heuristic_column_gap(grid: Grid) -> float:
     return board.column_gap(board.encode(grid))
 
 
-def _replay(root: QuiescentState, moves: list[Move]) -> tuple[Plan, Trace]:
-    state = root
-    events = []
-    for move in moves:
-        state, trace, _ = engine.apply_move(state, move)
-        events.extend(trace.events)
-    return Plan(tuple(moves)), Trace(initial=root.grid, events=tuple(events))
-
-
 class _Budget:
     """Deadline check that reads the clock on its first call, then every 64th."""
 
@@ -170,7 +161,7 @@ def solve(
         if found is None:
             outcome = ProvedUnsolvable(max_moves)
         else:
-            outcome = Solved(*_replay(state, found))
+            outcome = Solved(Plan(tuple(found)), engine.replay(state.grid, found)[0])
     stats.elapsed = time.monotonic() - start
     return SearchResult(outcome, stats)
 
@@ -185,7 +176,7 @@ class _Timeout(Exception):
 def _path(parents: dict, key: tuple) -> list[Move]:
     moves: list[Move] = []
     while True:
-        key, move = parents[key]
+        _, key, move = parents[key]
         if key is None:
             break
         moves.append(move)
@@ -193,71 +184,49 @@ def _path(parents: dict, key: tuple) -> list[Move]:
     return moves
 
 
-def _solve_bfs(board, root, max_moves, stats, budget):
-    parents: dict[tuple, tuple] = {root: (None, None)}
-    queue: deque[tuple[tuple, int]] = deque([(root, 0)])
-    while queue:
-        stats.max_frontier = max(stats.max_frontier, len(queue))
-        node, g = queue.popleft()
-        if budget.exceeded():
-            raise _Timeout
-        if board.is_goal(node):
-            return _path(parents, node)
-        if g >= max_moves:
-            continue
-        stats.expanded += 1
-        for move, child in board.successors(node):
-            stats.generated += 1
-            if child in parents:
-                stats.duplicates += 1
-                continue
-            if board.is_dead_end(child):
-                stats.dead_ends += 1
-                continue
-            parents[child] = (node, move)
-            queue.append((child, g + 1))
-    return None
+def _best_first(board, root, max_moves, stats, budget, heuristic):
+    """Best-first search on f = g + h; among equal f the deepest, then the
+    oldest, entry pops first, so with h = 0 the order is breadth-first.
 
-
-def _solve_astar(board, root, max_moves, stats, budget):
-    h0 = board.column_gap(root)
+    `parents` maps each state reached to (best g, parent, move).  A popped
+    entry above its state's best g is stale and skipped, so plans stay
+    optimal even under an inconsistent h.
+    """
+    h0 = heuristic(board, root)
     if h0 > max_moves:
         stats.pruned_bound += 1
         return None
-    parents: dict[tuple, tuple] = {root: (None, None)}
+    parents: dict[tuple, tuple] = {root: (0, None, None)}
     seq = 0
     heap: list[tuple[float, int, int, tuple]] = [(h0, 0, seq, root)]
-    g_best = {root: 0}
-    expanded: set[tuple] = set()
     while heap:
         stats.max_frontier = max(stats.max_frontier, len(heap))
         _, neg_g, _, node = heapq.heappop(heap)
         if budget.exceeded():
             raise _Timeout
-        if node in expanded:
+        g = -neg_g
+        if g > parents[node][0]:
             continue
         if board.is_goal(node):
             return _path(parents, node)
-        expanded.add(node)
-        g = -neg_g
         if g >= max_moves:
             continue
         stats.expanded += 1
         ng = g + 1
         for move, child in board.successors(node):
             stats.generated += 1
-            if child in expanded or ng >= g_best.get(child, max_moves + 1):
+            best = parents.get(child)
+            if best is not None and ng >= best[0]:
                 stats.duplicates += 1
                 continue
             if board.is_dead_end(child):
                 stats.dead_ends += 1
                 continue
-            h = board.column_gap(child)
+            h = heuristic(board, child)
             if ng + h > max_moves:
                 stats.pruned_bound += 1
                 continue
-            g_best[child] = ng
-            parents[child] = (node, move)
+            parents[child] = (ng, node, move)
             seq += 1
             heapq.heappush(heap, (ng + h, -ng, seq, child))
     return None
@@ -297,7 +266,15 @@ def _solve_iddfs(board, root, max_moves, stats, budget):
     return None
 
 
-_SEARCHES = {"bfs": _solve_bfs, "astar": _solve_astar, "iddfs": _solve_iddfs}
+def _no_estimate(board, masks) -> int:
+    return 0
+
+
+_SEARCHES = {
+    "bfs": partial(_best_first, heuristic=_no_estimate),
+    "astar": partial(_best_first, heuristic=engine.Board.column_gap),
+    "iddfs": _solve_iddfs,
+}
 
 
 def prove_unsolvable_report(result: SearchResult) -> str:

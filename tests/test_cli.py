@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import LEVELS_DIR
-from puzznic import cli, levels
+from puzznic import cli, engine, levels
 
 A13 = str(LEVELS_DIR / "5x7-ps1-a13.txt")
 CORRIDOR = str(LEVELS_DIR / "5x3-desk-corridor.txt")
@@ -182,6 +182,17 @@ class TestShow:
         assert "M   1" in out
         assert "*" in out  # the match step appears
 
+    def test_illegal_later_move_renders_the_legal_prefix(self, capsys, tmp_path):
+        plan = tmp_path / "p.plan"
+        plan.write_text("3 2 R\n2 2 L\n")  # the second move runs into the wall
+        code, out, err = run(capsys, "show", A13, str(plan))
+        assert code == 2
+        assert "illegal move at step 2" in err
+        lf = levels.load_level(A13)
+        _, first, _ = engine.apply_move(engine.QuiescentState(lf.grid), engine.Move(3, 2, 1))
+        assert first.events  # the legal move is shown, not only the initial grid
+        assert out == levels.render_trace(first, lf.symbol_table)
+
     def test_zero_event_trace(self, capsys, tmp_path):
         plan = tmp_path / "p.plan"
         plan.write_text("")
@@ -239,6 +250,18 @@ class TestBench:
         assert code == 0
         assert "broken\tbfs\tE" in out
         assert "skipping broken" in err
+
+    def test_zero_max_moves_keeps_the_table(self, tmp_path):
+        # sat-fixed's step bound is 0 + 0 match steps for a single block
+        for level in (SINGLETON, CORRIDOR):
+            (tmp_path / pathlib.Path(level).name).write_text(pathlib.Path(level).read_text())
+        code, out, err = run_process("bench", str(tmp_path), "--max-moves", "0", "--timeout", "5")
+        assert code == 0
+        assert "Traceback" not in err
+        assert "4x3-desk-singleton\tsat-fixed\tU\t-\tsteps\t" in out
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2 * len(cli.ALL_METHODS)
+        assert all(row.split("\t")[2] == "U" for row in rows)
 
     def test_unknown_method_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", str(tmp_path), "--methods", "dfs")

@@ -293,6 +293,117 @@ class TestDecodeModel:
         with pytest.raises(encoder.ModelInconsistent):
             encoder.decode_model(inst, corrupt)
 
+    # One corrupted model per rejection cause: (level, mode, n, at most
+    # this many moves or None, corruption, message).  The corridor plan is
+    # move, match (then dummies in varmoves); the a13 varmoves plan is move,
+    # match, move, move, match, move, match; the a13 fixed plan starts with
+    # a move.
+    CORRUPTIONS = [
+        ("5x3-desk-corridor", "fixed", 2, None, "initial", "initial state differs"),
+        ("5x7-ps1-a13", "varmoves", 4, None, "two_values", "step 3 has 2 values set"),
+        ("5x7-ps1-a13", "fixed", 7, None, "two_moves", "step 1 selects 2 moves"),
+        ("5x3-desk-corridor", "fixed", 2, None, "no_action", "step 1 selects no action"),
+        ("5x3-desk-corridor", "varmoves", 3, 1, "dummy_changes", "step 4 grid diverges|dummy step 4 changes"),
+        ("5x3-desk-corridor", "varmoves", 3, 1, "dummy_pending", "dummy step 2 with a match pending"),
+        ("5x7-ps1-a13", "varmoves", 4, None, "illegal_move", "illegal move at step 3"),
+        ("5x7-ps1-a13", "fixed", 7, None, "diverges", "step 2 grid diverges"),
+        ("5x3-desk-corridor", "varmoves", 3, 1, "not_goal", "does not reach the goal"),
+    ]
+
+    @staticmethod
+    def _model_grid(inst, model, s):
+        level = inst.meta["level"]
+        values = [engine.EMPTY, *sorted(engine.pattern_counts(level))]
+        return level.replace(
+            {
+                (r, c): next(v for v in values if model[inst.varmap.var("cell", s, r, c, v)])
+                for r, c in level.interior()
+                if level.at(r, c) != engine.WALL
+            }
+        )
+
+    @staticmethod
+    def _set_grid(inst, model, s, grid):
+        level = inst.meta["level"]
+        for v in [engine.EMPTY, *sorted(engine.pattern_counts(level))]:
+            for r, c in level.interior():
+                if level.at(r, c) != engine.WALL:
+                    model[inst.varmap.var("cell", s, r, c, v)] = grid.at(r, c) == v
+
+    @staticmethod
+    def _movesels(inst, s):
+        vm = inst.varmap
+        level = inst.meta["level"]
+        return [
+            (r, c, d)
+            for r, c in level.interior()
+            for d in (engine.LEFT, engine.RIGHT)
+            if vm.has("movesel", s, r, c, d)
+        ]
+
+    def _corrupt(self, inst, model, how):
+        vm = inst.varmap
+        level = inst.meta["level"]
+        if how == "initial":
+            self._set_grid(inst, model, 0, level.replace({(2, 2): engine.EMPTY, (2, 3): 1}))
+        elif how == "two_values":
+            grid = self._model_grid(inst, model, 3)
+            r, c = next(p for p in level.interior() if grid.at(*p) == engine.EMPTY)
+            model[vm.var("cell", 3, r, c, 1)] = True
+        elif how == "two_moves":
+            other = next(m for m in self._movesels(inst, 1) if not model[vm.var("movesel", 1, *m)])
+            model[vm.var("movesel", 1, *other)] = True
+        elif how == "no_action":
+            for m in self._movesels(inst, 1):
+                model[vm.var("movesel", 1, *m)] = False
+        elif how == "dummy_changes":
+            self._set_grid(inst, model, 4, level)
+        elif how == "dummy_pending":
+            # move, match, dummy, dummy -> move, dummy, match, dummy
+            self._set_grid(inst, model, 3, self._model_grid(inst, model, 2))
+            self._set_grid(inst, model, 2, self._model_grid(inst, model, 1))
+            model[vm.var("matching", 2)], model[vm.var("dummy", 2)] = False, True
+            model[vm.var("matching", 3)], model[vm.var("dummy", 3)] = True, False
+        elif how == "illegal_move":
+            before = self._model_grid(inst, model, 2)
+            sels = self._movesels(inst, 3)
+            for m in sels:
+                model[vm.var("movesel", 3, *m)] = False
+            illegal = next(
+                (r, c, d)
+                for r, c, d in sels
+                if before.at(r, c) <= engine.EMPTY or before.at(r, c + d) != engine.EMPTY
+            )
+            model[vm.var("movesel", 3, *illegal)] = True
+        elif how == "diverges":
+            grid = self._model_grid(inst, model, 2)
+            r, c = next(p for p in level.interior() if grid.at(*p) > engine.EMPTY)
+            self._set_grid(inst, model, 2, grid.replace({(r, c): engine.EMPTY}))
+        elif how == "not_goal":
+            for s in range(1, inst.meta["horizon"] + 1):
+                self._set_grid(inst, model, s, level)
+                model[vm.var("matching", s)], model[vm.var("dummy", s)] = False, True
+                for m in self._movesels(inst, s):
+                    model[vm.var("movesel", s, *m)] = False
+
+    @pytest.mark.parametrize(
+        "name, mode, n, at_most, how, message",
+        CORRUPTIONS,
+        ids=[case[4] for case in CORRUPTIONS],
+    )
+    def test_each_inconsistency_rejected(self, corpus, name, mode, n, at_most, how, message):
+        level = corpus[name].grid
+        encode = encoder.encode_fixed if mode == "fixed" else encoder.encode_varmoves
+        inst = encode(level, n)
+        assumptions = () if at_most is None else (-inst.unary_moves[at_most],)
+        model = InternalBackend()(inst, assumptions)
+        assert model is not None
+        encoder.decode_model(inst, model)  # the model itself is consistent
+        corrupt = list(model)
+        self._corrupt(inst, corrupt, how)
+        with pytest.raises(encoder.ModelInconsistent, match=message):
+            encoder.decode_model(inst, corrupt)
+
     def test_replay_validates_cascade_structure(self, corpus):
         lf = corpus["7x6-desk-cascade"]
         result = encoder.solve_iterative(lf.grid, mode="fixed", bound=6)
@@ -316,6 +427,30 @@ class TestSolveIterative:
         assert isinstance(result.outcome, planner.Solved)
         trace = result.outcome.trace
         assert trace.move_count + trace.match_count == 2
+
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    @pytest.mark.parametrize(
+        "name", ["3x3-desk-solved", "5x3-desk-corridor", "5x7-ps1-a13", "7x6-desk-cascade"]
+    )
+    def test_plan_replayed_once(self, corpus, monkeypatch, name, mode):
+        calls = []
+        apply_move = engine.apply_move
+
+        def counting(state, move):
+            calls.append(move)
+            return apply_move(state, move)
+
+        monkeypatch.setattr(engine, "apply_move", counting)
+        result = encoder.solve_iterative(corpus[name].grid, mode=mode, bound=8)
+        assert isinstance(result.outcome, planner.Solved)
+        assert calls == list(result.outcome.plan.moves)
+
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    def test_trace_is_the_engine_replay(self, corpus, mode):
+        for name in ("3x3-desk-solved", "5x7-ps1-a13", "7x6-desk-cascade"):
+            level = corpus[name].grid
+            result = encoder.solve_iterative(level, mode=mode, bound=8)
+            assert result.outcome.trace == engine.replay(level, result.outcome.plan.moves)[0]
 
     def test_fixed_bound_zero_rejected(self, corpus):
         with pytest.raises(encoder.BoundExhausted):

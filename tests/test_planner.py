@@ -48,6 +48,25 @@ PINNED = {
     ),
 }
 
+# The same at the optimum bound (max_moves=4), where astar cuts children
+# whose g + h exceeds the bound: (level, algo, max_moves) -> plan, counters.
+PINNED_AT_BOUND = {
+    ("5x7-ps1-a13", "astar", 4): (
+        "3 2 R\n3 4 L\n3 2 R\n3 4 L\n",
+        dict(
+            expanded=46, generated=204, duplicates=55, dead_ends=0,
+            pruned_bound=36, max_frontier=68,
+        ),
+    ),
+    ("5x7-ps1-a13", "bfs", 4): (
+        "2 2 R\n2 4 L\n3 2 R\n3 4 L\n",
+        dict(
+            expanded=79, generated=328, duplicates=167, dead_ends=0,
+            pruned_bound=0, max_frontier=84,
+        ),
+    ),
+}
+
 
 def solved_state() -> QuiescentState:
     return QuiescentState(empty_grid(5, 5))
@@ -178,6 +197,13 @@ class TestSolve:
         grid = levels.parse_level(HARD0).grid if name == "hard0" else corpus[name].grid
         result = planner.solve(QuiescentState(grid), algo=algo)
         plan, counters = PINNED[name, algo]
+        assert levels.emit_plan(result.outcome.plan.moves) == plan
+        assert {key: getattr(result.stats, key) for key in counters} == counters
+
+    @pytest.mark.parametrize("name, algo, max_moves", sorted(PINNED_AT_BOUND))
+    def test_pinned_at_the_optimum_bound(self, corpus, name, algo, max_moves):
+        result = planner.solve(QuiescentState(corpus[name].grid), max_moves, algo)
+        plan, counters = PINNED_AT_BOUND[name, algo, max_moves]
         assert levels.emit_plan(result.outcome.plan.moves) == plan
         assert {key: getattr(result.stats, key) for key in counters} == counters
 

@@ -21,6 +21,7 @@ same cumulative formula from scratch.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import tempfile
@@ -80,12 +81,8 @@ class ExternalBackend:
         self.executable = executable
 
     def __call__(self, instance, assumptions=(), deadline=None):
-        text = instance.to_dimacs()
-        if assumptions:
-            header = f"p cnf {instance.num_vars} {len(instance.clauses)}"
-            patched = f"p cnf {instance.num_vars} {len(instance.clauses) + len(assumptions)}"
-            text = text.replace(header, patched, 1)
-            text += "".join(f"{lit} 0\n" for lit in assumptions)
+        units = tuple((lit,) for lit in assumptions)
+        text = dataclasses.replace(instance, clauses=instance.clauses + units).to_dimacs()
         timeout = None
         if deadline is not None:
             timeout = max(0.1, deadline - time.monotonic())

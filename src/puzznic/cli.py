@@ -157,6 +157,8 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
     except (LevelError, OSError) as exc:
         print(f"skipping {name}: {exc}", file=sys.stderr)
         return (name, method, "E", "-", "-", "0.00")
+    mode = method.removeprefix("sat-")
+    measure = "steps" if mode == "fixed" else "moves"
     start = time.monotonic()
     try:
         if method in PLANNER_METHODS:
@@ -166,14 +168,7 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
                 algo=method,
                 time_limit=timeout,
             )
-            measure = "moves"
-            cost = (
-                result.outcome.plan.cost
-                if isinstance(result.outcome, planner.Solved)
-                else "-"
-            )
         else:
-            mode = "fixed" if method == "sat-fixed" else "varmoves"
             bound = max_moves
             if mode == "fixed":
                 bound = max_moves + encoder.max_match_steps(lf.grid)
@@ -189,20 +184,6 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
                 # fixed mode at bound 0: a level that is not cleared cannot
                 # be cleared in zero steps
                 result = planner.SearchResult(planner.ProvedUnsolvable(bound))
-            if mode == "fixed":
-                measure = "steps"
-                if isinstance(result.outcome, planner.Solved):
-                    trace = result.outcome.trace
-                    cost = trace.move_count + trace.match_count
-                else:
-                    cost = "-"
-            else:
-                measure = "moves"
-                cost = (
-                    result.outcome.plan.cost
-                    if isinstance(result.outcome, planner.Solved)
-                    else "-"
-                )
     except MemoryError:
         return (name, method, "M", "-", "-", f"{time.monotonic() - start:.2f}")
     except BackendFailure as exc:
@@ -210,6 +191,8 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
         return (name, method, "E", "-", "-", f"{time.monotonic() - start:.2f}")
     elapsed = f"{result.stats.elapsed:.2f}"
     if isinstance(result.outcome, planner.Solved):
+        trace = result.outcome.trace
+        cost = trace.move_count + (trace.match_count if measure == "steps" else 0)
         return (name, method, "Y", str(cost), measure, elapsed)
     if isinstance(result.outcome, planner.ProvedUnsolvable):
         return (name, method, "U", "-", measure, elapsed)
@@ -228,19 +211,16 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             return _fail(f"unknown method {m!r} (choose from {', '.join(ALL_METHODS)})")
-    jobs = [(path, method) for path in paths for method in methods]
+    # the options ride in each job: `repeat` beside an empty job list would
+    # never end the pool's argument stream
+    jobs = [(p, m, args.timeout, args.max_moves) for p in paths for m in methods]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(
-                pool.map(
-                    _bench_row_star,
-                    [(p, m, args.timeout, args.max_moves) for p, m in jobs],
-                )
-            )
+            rows = list(pool.map(_bench_row, *zip(*jobs)))
     else:
-        rows = [_bench_row(p, m, args.timeout, args.max_moves) for p, m in jobs]
+        rows = [_bench_row(*job) for job in jobs]
     rows.sort(key=lambda row: (row[0], row[1]))
     header = ("instance", "method", "outcome", "cost", "measure", "seconds")
     print("\t".join(header))
@@ -255,10 +235,6 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
     return EXIT_OK
-
-
-def _bench_row_star(packed):
-    return _bench_row(*packed)
 
 
 def build_parser() -> argparse.ArgumentParser:

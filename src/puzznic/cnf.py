@@ -5,18 +5,8 @@ flags, gravity mappings, ...).  Non-auxiliary meanings are numbered first in
 lexicographic order of their tags, so two encodings of the same instance are
 byte-identical; Tseitin auxiliaries follow in creation order.  A formula
 that grows one step at a time numbers each step's meanings, sorted, after
-the variables it already has.
-
-The constants TRUE and FALSE negate to each other with unary minus like any
-literal.  The encoder meets one in a single place, the goal guard, which is
-TRUE when a whole formula is encoded; static wall cells hold no variables
-and no constraint group reads them.  Constants fold where such a clause is
-added, in `ClauseBuilder.clause`: a clause containing TRUE is dropped and
-FALSE literals are removed.  Every other constraint group is built from
-variables by construction and appends its clause tuples to the builder's
-list directly, which saves a method call and two membership scans on each
-of millions of clauses.  Either way every stored clause is a tuple of DIMACS
-integers.
+the variables it already has.  Every literal is a DIMACS integer, and every
+clause a tuple of them.
 """
 
 from __future__ import annotations
@@ -26,22 +16,6 @@ from itertools import chain, combinations, compress, repeat
 from operator import add
 from typing import Iterable
 
-
-class _Const:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __neg__(self) -> _Const:
-        return FALSE if self is TRUE else TRUE
-
-
-TRUE = _Const("TRUE")
-FALSE = _Const("FALSE")
 _VALUE_NAMES = {-1: "wall", 0: "empty"}
 
 
@@ -57,14 +31,17 @@ class VarMap:
         self._by_var: list[tuple] = []
         self.extend(meanings)
 
-    def extend(self, meanings: Iterable[tuple]) -> None:
+    def extend(self, meanings: Iterable[tuple]) -> list[tuple]:
         """Number `meanings` after every existing variable, in sorted order
-        among themselves: one step of a formula that grows step by step."""
-        for m in sorted(meanings):
+        among themselves: one step of a formula that grows step by step.
+        Returns them in the order they were numbered."""
+        ordered = sorted(meanings)
+        for m in ordered:
             if m in self._by_meaning:
                 raise ValueError(f"meaning {m} is already numbered")
             self._by_meaning[m] = len(self._by_var) + 1
             self._by_var.append(m)
+        return ordered
 
     def var(self, *meaning) -> int:
         return self._by_meaning[meaning]
@@ -72,8 +49,8 @@ class VarMap:
     def has(self, *meaning) -> bool:
         return meaning in self._by_meaning
 
-    def aux(self, origin: str) -> int:
-        m = ("aux", len(self._by_var), origin)
+    def aux(self) -> int:
+        m = ("aux", len(self._by_var))
         self._by_meaning[m] = len(self._by_var) + 1
         self._by_var.append(m)
         return self._by_meaning[m]
@@ -116,67 +93,39 @@ class VarMap:
 
 
 class ClauseBuilder:
-    """The clause list of one formula, with constants folded on the way in.
+    """The clause list of one formula, with its at-most-one and counter
+    encodings.
 
-    `clause`, `implies` and `at_most_one` fold constants.  The encoder calls
-    `clause` for the goal, whose guard is TRUE in a whole formula, and the
-    totalizer, which takes any literals, calls `implies`.  `clause` tests for
-    constants with two membership scans (run in C) and stores the argument
-    tuple itself when neither is there.  The groups whose literals are all
-    variables (one-hot cells, the initial state, no floating blocks, match
-    flags, mode selection, mappings and their order, match transitions,
-    moves with their source-column and column frames, the varmoves dummy
-    tail) extend `clauses` with their tuples directly instead, and call
-    `at_most_one` once per list of literals, which keeps the choice of
+    The constraint groups extend `clauses` with their tuples directly and
+    call `at_most_one` once per list of literals, which keeps the choice of
     at-most-one encoding in this class.
     """
 
     def __init__(self) -> None:
         self.clauses: list[tuple[int, ...]] = []
 
-    def clause(self, *lits) -> None:
-        if TRUE in lits:
-            return
-        if FALSE in lits:
-            lits = tuple([lit for lit in lits if lit is not FALSE])
-        self.clauses.append(lits)
-
-    def implies(self, antecedents, consequent) -> None:
-        """(/\\ antecedents) -> consequent as one clause."""
-        self.clause(*[-a for a in antecedents], consequent)
-
     def at_most_one(self, lits) -> None:
-        """Pairwise: (-a or -b) for every pair, in the order of `lits`.  A
-        TRUE member forces every other member off instead."""
-        concrete = [lit for lit in lits if lit is not FALSE]
-        if TRUE in concrete:
-            self.clauses.extend((-lit,) for lit in concrete if lit is not TRUE)
-            return
-        self.clauses.extend(combinations([-lit for lit in concrete], 2))
+        """Pairwise: (-a or -b) for every pair, in the order of `lits`."""
+        self.clauses.extend(combinations([-lit for lit in lits], 2))
 
-    def totalizer(self, varmap: VarMap, lits: list[int], origin: str) -> list[int]:
+    def totalizer(self, varmap: VarMap, lits: list[int]) -> list[int]:
         """Sorted unary counter over `lits`: output[j] is implied whenever at
         least j+1 inputs are true, and outputs are emitted in sorted order
         (output[0] >= output[1] >= ...).  Only the input->output direction is
         emitted, which is what upper-bound assumptions need."""
-        if not lits:
-            return []
-        if len(lits) == 1:
-            return [lits[0]]
+        if len(lits) <= 1:
+            return list(lits)
         mid = len(lits) // 2
-        left = self.totalizer(varmap, lits[:mid], origin + "l")
-        right = self.totalizer(varmap, lits[mid:], origin + "r")
-        out = [varmap.aux(f"{origin}[{k}]") for k in range(len(left) + len(right))]
-        for i in range(len(left) + 1):
-            for j in range(len(right) + 1):
-                if i + j == 0:
-                    continue
-                ante = []
-                if i > 0:
-                    ante.append(left[i - 1])
-                if j > 0:
-                    ante.append(right[j - 1])
-                self.implies(ante, out[i + j - 1])
+        left = self.totalizer(varmap, lits[:mid])
+        right = self.totalizer(varmap, lits[mid:])
+        out = [varmap.aux() for _ in range(len(left) + len(right))]
+        # (-left[i-1] or -right[j-1] or out[i+j-1]), a side dropping out at 0
+        not_left = [()] + [(-lit,) for lit in left]
+        not_right = [()] + [(-lit,) for lit in right]
+        for i, a in enumerate(not_left):
+            for j, b in enumerate(not_right):
+                if i + j:
+                    self.clauses.append((*a, *b, out[i + j - 1]))
         return out
 
 

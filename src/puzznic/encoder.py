@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 from puzznic import engine
-from puzznic.cnf import TRUE, ClauseBuilder, CnfInstance, VarMap
+from puzznic.cnf import ClauseBuilder, CnfInstance, VarMap
 from puzznic.engine import EMPTY, LEFT, RIGHT, WALL, Grid, Move, Trace
 from puzznic.planner import (
     BudgetExhausted,
@@ -172,9 +172,7 @@ class _Encoder:
 
     def _number(self, steps: range) -> None:
         first = len(self.vm) + 1
-        self.vm.extend(self._meanings(steps))
-        for var in range(first, len(self.vm) + 1):
-            meaning = self.vm.meaning(var)
+        for var, meaning in enumerate(self.vm.extend(self._meanings(steps)), first):
             if meaning[0] == "cell":
                 self.cells[meaning[1:]] = var
             elif meaning[0] in _HINT_TAGS:
@@ -207,19 +205,18 @@ class _Encoder:
     # row mappings of t-1).  `emit_window` over range(S + 1) is the whole
     # formula; over range(n, n + 1) it is what horizon n adds to horizon n-1.
     #
-    # Groups read cells only where they are not walls, so their literals are
-    # variables and they extend the clause list with their tuples directly.
-    # The goal alone can meet a constant (its guard is TRUE in a whole
-    # formula) and goes through `ClauseBuilder.clause`, which folds it.
+    # Groups read cells only where they are not walls (walls hold no
+    # variables) and extend the clause list with their tuples directly.
 
-    def emit_window(self, steps: range, goal_guard=None):
-        """Every constraint group over `steps`, in the DIMACS order.  The goal
-        at the window's last step is emitted as (-goal_guard or ...): TRUE
-        makes it unconditional, None leaves it out."""
+    def emit_window(self, steps: range, goal_prefix: tuple[int, ...] | None = None):
+        """Every constraint group over `steps`, in the DIMACS order.  Each
+        clause of the goal at the window's last step starts with
+        `goal_prefix`: () makes the goal unconditional, (-g,) puts it behind
+        the literal g, None leaves it out."""
         self.emit_one_hot_cells(steps)
         self.emit_initial(steps)
-        if goal_guard is not None:
-            self.emit_goal(steps[-1], goal_guard)
+        if goal_prefix is not None:
+            self.emit_goal(steps[-1], goal_prefix)
         self.emit_no_floating(steps)
         self.emit_match_flags(steps)
         self.emit_mode_selection(steps)
@@ -232,8 +229,8 @@ class _Encoder:
         literal: the goal at S+1 holds wherever the literal is true."""
         n = self.S = self.S + 1
         self._number(range(n, n + 1))
-        goal = self.vm.aux(f"goal[{n}]")
-        self.emit_window(range(n, n + 1), goal_guard=goal)
+        goal = self.vm.aux()
+        self.emit_window(range(n, n + 1), goal_prefix=(-goal,))
         return goal
 
     def emit_one_hot_cells(self, steps: range):
@@ -249,10 +246,11 @@ class _Encoder:
             cells, at = self.cells, self.level.at
             self.b.clauses.extend([(cells[0, r, c, at(r, c)],) for r, c in self.nonwall])
 
-    def emit_goal(self, s: int, guard):
-        for r, c in self.nonwall:
-            for p in self.patterns:
-                self.b.clause(-guard, -self.cells[s, r, c, p])
+    def emit_goal(self, s: int, prefix: tuple[int, ...]):
+        cells = self.cells
+        self.b.clauses.extend(
+            [(*prefix, -cells[s, r, c, p]) for r, c in self.nonwall for p in self.patterns]
+        )
 
     def emit_no_floating(self, steps: range):
         # a block never rests on an empty cell, at any step
@@ -275,7 +273,7 @@ class _Encoder:
             incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
             for a, b in edges:
                 for p in self.patterns:
-                    t = aux(f"pair[{s},{a[0]},{a[1]},{b[0]},{b[1]},p{p}]")
+                    t = aux()
                     la = cells[(s, *a, p)]
                     lb = cells[(s, *b, p)]
                     out += ((-t, la), (-t, lb), (-la, -lb, t))
@@ -378,9 +376,7 @@ class _Encoder:
         for s in _transition_ends(steps):
             keep = self._keeps(s)
             msels = self.msels(s)
-            dest_vars: dict[tuple[int, int], int] = {}
-            for q, c in self.nonwall:
-                dest_vars[(q, c)] = self.vm.aux(f"dest[{s},{q},{c}]")
+            dest_vars = {qc: self.vm.aux() for qc in self.nonwall}
             self.b.at_most_one(list(dest_vars.values()))
             not_matching = -self.vm.var("matching", s)
             not_dummy = -self.vm.var("dummy", s) if self.mode == "varmoves" else None
@@ -483,8 +479,8 @@ class _Encoder:
         src_col: dict[int, int] = {}
         dst_col: dict[int, int] = {}
         for c in sorted(self.col_rows):
-            sv = src_col[c] = self.vm.aux(f"srccol[{s},{c}]")
-            dv = dst_col[c] = self.vm.aux(f"dstcol[{s},{c}]")
+            sv = src_col[c] = self.vm.aux()
+            dv = dst_col[c] = self.vm.aux()
             sels = [lit for (_, c0, _), lit in msels if c0 == c]
             out.extend([(-lit, sv) for lit in sels])
             out.append((-sv, *sels))
@@ -504,7 +500,7 @@ class _Encoder:
             for pairs in self._keeps(s).values():
                 out.extend([(not_d, *pair) for pair in pairs])
         moving = [self.vm.var("moving", s) for s in range(1, self.S + 1)]
-        unary = self.b.totalizer(self.vm, moving, "cnt")
+        unary = self.b.totalizer(self.vm, moving)
         if max_moves < len(unary):
             out.append((-unary[max_moves],))
         return unary
@@ -528,7 +524,7 @@ def encode_fixed(
     if n_steps < 1 or n_steps > max_horizon:
         raise HorizonTooLarge(f"n_steps={n_steps} outside 1..{max_horizon}")
     enc = _Encoder(level, n_steps, "fixed")
-    enc.emit_window(range(n_steps + 1), goal_guard=TRUE)
+    enc.emit_window(range(n_steps + 1), goal_prefix=())
     return enc.finish(
         {
             "mode": "fixed",
@@ -555,7 +551,7 @@ def encode_varmoves(
     if horizon > max_horizon:
         raise HorizonTooLarge(f"ministep horizon {horizon} exceeds {max_horizon}")
     enc = _Encoder(level, horizon, "varmoves")
-    enc.emit_window(range(horizon + 1), goal_guard=TRUE)
+    enc.emit_window(range(horizon + 1), goal_prefix=())
     unary = enc.emit_varmoves_extras(max_moves)
     return enc.finish(
         {
@@ -685,7 +681,8 @@ def solve_iterative(
     once that horizon is unsatisfiable.  varmoves mode: double max_moves
     (1, 2, 4, ...) up to `bound`, encoding each bound afresh, then minimize
     the move count inside the first feasible horizon by assuming tighter
-    unary bounds.  Either way the returned trace is the replay that
+    unary bounds, stopping one above the largest bound already proved
+    unsatisfiable.  Either way the returned trace is the replay that
     `decode_model` checked the model against.
     The deadline is checked before every backend call, and the backend
     checks it again while it searches.
@@ -741,6 +738,7 @@ def solve_iterative(
         schedule.append(m)
         m *= 2
     schedule.append(bound)
+    proven = 0  # largest move bound proved UNSAT: 0, as the level is not cleared
     for m in schedule:
         if expired():
             return done(SearchResult(BudgetExhausted(), stats))
@@ -753,11 +751,12 @@ def solve_iterative(
             return done(SearchResult(BudgetExhausted(), stats))
         stats.generated += len(instance.clauses)
         if model is None:
+            proven = m
             continue
         best = model
         mu = _count_moves(instance, model)
         try:
-            while mu > 0:
+            while mu > proven + 1:
                 if expired():
                     return done(SearchResult(BudgetExhausted(), stats))
                 tighter = backend(

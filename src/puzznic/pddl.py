@@ -118,16 +118,6 @@ def adjacency_facts(grid: Grid) -> list[tuple[str, str, str]]:
     return facts
 
 
-def _check_adjacency(facts: list[tuple[str, str, str]]) -> None:
-    inverse = {"right": "left", "left": "right", "up": "down", "down": "up"}
-    have = set(facts)
-    for a, b, d in facts:
-        if a == b:
-            raise AssertionError(f"reflexive adjacency {a} {d}")
-        if (b, a, inverse[d]) not in have:
-            raise AssertionError(f"missing inverse of next({a}, {b}, {d})")
-
-
 def export_pddl_problem(level: Grid, name: str, symbols=None) -> str:
     """Problem document: one location object per non-wall cell, adjacency
     facts, the initial patterned facts, the clear-everything goal, and the
@@ -137,7 +127,6 @@ def export_pddl_problem(level: Grid, name: str, symbols=None) -> str:
     cells = [(r, c) for r, c in level.interior() if level.at(r, c) != WALL]
     patterns = sorted(engine.pattern_counts(level))
     facts = adjacency_facts(level)
-    _check_adjacency(facts)
 
     lines = [f"(define (problem {name})", f"  (:domain {DOMAIN_NAME})"]
     objects = ["  (:objects"]

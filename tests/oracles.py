@@ -4,8 +4,8 @@ These deliberately avoid the production code paths they check: gravity is a
 one-cell-at-a-time fall applied in row-major order, cascades are driven by a
 fall-first/match-second single-action loop, and optimal move counts come from
 a plain breadth-first search written directly against the engine primitives.
-CNF clauses are folded one literal at a time and written one `str()` per
-literal, as the reference for the encoder's folding and DIMACS writer.
+At-most-one clauses are built one pair at a time and DIMACS is written one
+`str()` per literal, as the reference for the encoder's builder and writer.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from collections import deque
 
 from puzznic import engine
-from puzznic.cnf import FALSE, TRUE, ClauseBuilder, CnfInstance
+from puzznic.cnf import ClauseBuilder, CnfInstance
 from puzznic.engine import EMPTY, Grid, QuiescentState
 
 
@@ -208,43 +208,15 @@ def exact_step_sequence_exists(grid: Grid, n_steps: int) -> bool:
     return search(settled(grid), n_steps)
 
 
-def reference_neg(lit):
-    if lit is TRUE:
-        return FALSE
-    if lit is FALSE:
-        return TRUE
-    return -lit
-
-
 class ReferenceClauseBuilder(ClauseBuilder):
-    """Constant folding literal by literal and pairwise at-most-one clause by
-    clause; swapped in for `ClauseBuilder`, it gives the clauses the encoder
-    must produce where it goes through the builder (the goal, at-most-one
-    and the totalizer; the other groups append their clauses directly)."""
-
-    def clause(self, *lits) -> None:
-        out = []
-        for lit in lits:
-            if lit is TRUE:
-                return
-            if lit is FALSE:
-                continue
-            out.append(lit)
-        self.clauses.append(tuple(out))
-
-    def implies(self, antecedents, consequent) -> None:
-        self.clause(*[reference_neg(a) for a in antecedents], consequent)
+    """Pairwise at-most-one clause by clause; swapped in for `ClauseBuilder`,
+    it gives the clauses the encoder must produce where it goes through the
+    builder's at-most-one (the other groups append their clauses directly)."""
 
     def at_most_one(self, lits) -> None:
-        concrete = [lit for lit in lits if lit is not FALSE]
-        if any(lit is TRUE for lit in concrete):
-            for lit in concrete:
-                if lit is not TRUE:
-                    self.clause(reference_neg(lit))
-            return
-        for i in range(len(concrete)):
-            for j in range(i + 1, len(concrete)):
-                self.clause(reference_neg(concrete[i]), reference_neg(concrete[j]))
+        for i in range(len(lits)):
+            for j in range(i + 1, len(lits)):
+                self.clauses.append((-lits[i], -lits[j]))
 
 
 def reference_dimacs(instance: CnfInstance) -> str:

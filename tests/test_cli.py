@@ -244,6 +244,21 @@ class TestBench:
             costs.setdefault(instance, set()).add(cost)
         assert all(len(v) == 1 for v in costs.values())
 
+    def test_worker_pool_gives_the_serial_rows(self, capsys, tmp_path):
+        for level in (SINGLETON, CORRIDOR, LEVELS_DIR / "6x3-desk-gap3.txt"):
+            (tmp_path / pathlib.Path(level).name).write_text(pathlib.Path(level).read_text())
+        rows = {}
+        for workers in ("1", "2"):
+            code, out, _ = run(
+                capsys, "bench", str(tmp_path), "--methods", "bfs,sat-fixed,sat-varmoves",
+                "--max-moves", "8", "--timeout", "30", "--workers", workers,
+            )
+            assert code == 0
+            rows[workers] = [line.split("\t")[:5] for line in out.strip().splitlines()]
+        assert len(rows["1"]) == 1 + 3 * 3
+        assert rows["2"] == rows["1"]
+        assert ["5x3-desk-corridor", "sat-fixed", "Y", "2", "steps"] in rows["1"]
+
     def test_unreadable_instance_diagnostic_row(self, capsys, tmp_path):
         (tmp_path / "broken.txt").write_text("#\n")
         code, out, err = run(capsys, "bench", str(tmp_path), "--methods", "bfs")

@@ -166,8 +166,8 @@ class TestReferenceWriter:
     st.integers(min_value=1, max_value=3),
 )
 def test_no_constant_reaches_a_clause(seed, mode, n):
-    # most groups store their clauses without the builder's constant fold,
-    # so every stored literal must still name a variable
+    # the groups store their clause tuples without a check, so every stored
+    # literal must name a variable
     level = oracles.random_quiescent(random.Random(seed), max_h=6, max_w=6).grid
     for instance in _encodings(level, mode, n):
         for clause in instance.clauses:
@@ -491,6 +491,26 @@ class TestSolveIterative:
         assert backend.verdicts == [(n, False) for n in range(1, 7)]
         for n in range(1, 7):
             assert InternalBackend()(encoder.encode_fixed(level, n)) is None
+
+    def test_varmoves_never_retries_a_proved_bound(self, corpus):
+        # assuming -unary_moves[k] caps a call at k moves; a cap at or below
+        # a bound already proved UNSAT can only be UNSAT again
+        calls: list[tuple[int, bool]] = []
+        backend = InternalBackend()
+
+        def capped(instance, assumptions=(), deadline=None):
+            model = backend(instance, assumptions, deadline)
+            negated = [-lit for lit in assumptions]
+            cap = min(map(instance.unary_moves.index, negated), default=instance.meta["max_moves"])
+            calls.append((cap, model is not None))
+            return model
+
+        result = encoder.solve_iterative(
+            corpus["8x8-desk-big"].grid, mode="varmoves", bound=100, backend=capped
+        )
+        assert isinstance(result.outcome, planner.Solved)
+        for i, (cap, _) in enumerate(calls):
+            assert all(cap > before for before, sat in calls[:i] if not sat), calls
 
     def test_fixed_counts_each_clause_once(self, corpus):
         level = corpus["5x3-desk-corridor"].grid

@@ -206,6 +206,8 @@ def cmd_bench(args) -> int:
     if bad:
         return _fail(bad)
     corpus_dir = pathlib.Path(args.corpus) if args.corpus else _BUNDLED
+    if not corpus_dir.is_dir():
+        return _fail(f"corpus {corpus_dir} is not a directory")
     paths = sorted(corpus_dir.glob("*.txt"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:

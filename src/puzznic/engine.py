@@ -482,13 +482,17 @@ class Board:
     def column_gap(self, masks: tuple[int, ...]) -> float:
         """Admissible lower bound on the moves left; inf for dead ends.
 
-        For each pattern with two or more blocks, the closest pair must end
-        up in the same or adjacent columns before anything of that pattern
-        can match, which costs at least (gap - 1) moves.  Gravity and
-        matching never change columns, and each move affects a single
-        pattern, so the sum over patterns is still a lower bound.
+        Every block must go, and a block matches only beside a block of its
+        own pattern, in the same or a neighbouring column.  A block whose
+        nearest other block of its pattern is d columns away therefore
+        waits for at least d - 1 moves of that pattern: gravity and
+        matching never change a column, a move shifts one block by one
+        column, and a removal never brings a partner closer.  Each pattern
+        costs the largest such d - 1 over its blocks (0 when every block
+        shares its column with another), and each move moves one pattern,
+        so the sum over patterns is a lower bound.
         """
-        w, h = self.width, self.height
+        w, hw = self.width, self.height * self.width
         row = (1 << w) - 1
         total = 0
         for m in masks:
@@ -497,19 +501,25 @@ class Board:
                 continue
             if n == 1:
                 return math.inf
-            # Fold every row onto the first: bit c-1 is set iff column c
-            # holds a block of this pattern.
-            cols, span = m, w
-            while span < h * w:
-                cols |= cols >> span
+            # Fold the rows onto the first, doubling the rows folded each
+            # pass: bit c-1 of `occ` is set iff column c holds a block of
+            # this pattern, and of `twice` iff it holds two or more.
+            occ, twice, span = m, 0, w
+            while span < hw:
+                up = occ >> span
+                twice |= twice >> span | occ & up
+                occ |= up
                 span *= 2
-            cols &= row
-            if cols.bit_count() < n:
-                continue  # two blocks share a column: gap 0
-            gap = 1
-            while not cols & cols >> gap:
-                gap += 1
-            total += gap - 1
+            occ &= row
+            # Widen the reach of every occupied column one column per pass
+            # until each lone block has another block in reach.
+            lonely = occ & ~twice
+            d = 0
+            while lonely:
+                d += 1
+                lonely &= ~(occ >> d | occ << d)
+            if d > 1:
+                total += d - 1
         return total
 
 

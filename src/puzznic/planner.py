@@ -6,12 +6,15 @@ on the engine's trusted mask path: the root `Grid` is validated once and
 turned into an `engine.Board`, a state is a tuple of per-pattern bitmasks,
 and that tuple is the duplicate-detection key, so no child is built as a
 `Grid`.  bfs and astar run one best-first loop; bfs is astar with h = 0.
-astar's h is an admissible bound built from horizontal distances: a
-pattern whose closest pair of blocks is k columns apart needs at least k-1
-moves before its first match, and every move shifts one block of one
-pattern by one column.  iddfs prunes only cycles on its path.  All three
-prune duplicates and dead ends (a pattern with a single block).  The plan
-found is replayed once through `engine.replay` for its `Trace`.
+The loop tests for the goal when it generates a child, not when it pops
+one, so it stops without expanding the rest of the last layer.  astar's h
+is an admissible bound built from horizontal distances: a block whose
+nearest block of the same pattern is d columns away needs at least d-1
+moves of that pattern before it can match, and every move shifts one
+block of one pattern by one column (`engine.Board.column_gap`).  iddfs
+prunes only cycles on its path.  All three prune duplicates and dead ends
+(a pattern with a single block).  The plan found is replayed once through
+`engine.replay` for its `Trace`.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ def heuristic_column_gap(grid: Grid) -> float:
     """Admissible lower bound on remaining moves; inf for dead ends.
 
     This is `engine.Board.column_gap`, the bound astar searches with,
-    applied to one grid.
+    applied to one grid: per pattern, the largest over its blocks of (the
+    column distance to the nearest other block of the pattern - 1), summed.
     """
     board = engine.Board(grid)
     return board.column_gap(board.encode(grid))
@@ -185,36 +189,45 @@ def _path(parents: dict, key: tuple) -> list[Move]:
 
 
 def _best_first(board, root, max_moves, stats, budget, heuristic):
-    """Best-first search on f = g + h; among equal f the deepest, then the
-    oldest, entry pops first, so with h = 0 the order is breadth-first.
+    """Best-first search on f = g + max(h, 1) from a root that is not the
+    goal, with the goal tested when a child is generated.
+
+    A state that is not the goal needs at least one more move, so the floor
+    of 1 keeps f a lower bound on the cost of any plan through it.  With an
+    admissible h, an entry on an optimal path stays open until a plan is
+    found, so every popped f is at most the optimum.  A popped entry is
+    never the goal and has f >= g + 1, so a goal child of it costs
+    g + 1 <= f <= the optimum: the loop returns the first goal child it
+    generates, and never pushes a goal.  With h = 0 states pop in
+    breadth-first order.  Among equal f the deepest entry pops first, then
+    the newest: diving along the latest ties reaches a goal child sooner.
 
     `parents` maps each state reached to (best g, parent, move).  A popped
     entry above its state's best g is stale and skipped, so plans stay
-    optimal even under an inconsistent h.
+    optimal even under an inconsistent h.  Children whose g + h exceeds
+    `max_moves` are cut.
     """
     h0 = heuristic(board, root)
     if h0 > max_moves:
         stats.pruned_bound += 1
         return None
     parents: dict[tuple, tuple] = {root: (0, None, None)}
-    seq = 0
-    heap: list[tuple[float, int, int, tuple]] = [(h0, 0, seq, root)]
+    seq = 0  # counts down, so the newest of equal (f, g) pops first
+    heap: list[tuple[float, int, int, tuple]] = [(max(h0, 1), 0, seq, root)]
     while heap:
         stats.max_frontier = max(stats.max_frontier, len(heap))
         _, neg_g, _, node = heapq.heappop(heap)
         if budget.exceeded():
             raise _Timeout
         g = -neg_g
-        if g > parents[node][0]:
-            continue
-        if board.is_goal(node):
-            return _path(parents, node)
-        if g >= max_moves:
+        if g > parents[node][0] or g >= max_moves:
             continue
         stats.expanded += 1
         ng = g + 1
         for move, child in board.successors(node):
             stats.generated += 1
+            if board.is_goal(child):
+                return _path(parents, node) + [move]
             best = parents.get(child)
             if best is not None and ng >= best[0]:
                 stats.duplicates += 1
@@ -227,8 +240,8 @@ def _best_first(board, root, max_moves, stats, budget, heuristic):
                 stats.pruned_bound += 1
                 continue
             parents[child] = (ng, node, move)
-            seq += 1
-            heapq.heappush(heap, (ng + h, -ng, seq, child))
+            seq -= 1
+            heapq.heappush(heap, (ng + max(h, 1), -ng, seq, child))
     return None
 
 

@@ -55,11 +55,11 @@ def single_action_resolve(grid: Grid) -> tuple[Grid, int]:
 
 
 def grid_column_gap(grid: Grid) -> float:
-    """Column-gap lower bound on remaining moves, by a loop over the grid.
+    """Closest-pair column-gap lower bound on remaining moves, by a grid loop.
 
-    Reference for the planner's bitmask heuristic: per pattern, (gap - 1)
-    for the closest pair of blocks k columns apart, summed; inf when some
-    pattern has a single block.
+    The weaker bound the planner's heuristic must dominate: per pattern,
+    (gap - 1) for the closest pair of blocks gap columns apart, summed; inf
+    when some pattern has a single block.
     """
     columns: dict[int, list[int]] = {}
     for r, c in grid.interior():
@@ -73,6 +73,31 @@ def grid_column_gap(grid: Grid) -> float:
         cols.sort()
         gap = min(b - a for a, b in zip(cols, cols[1:]))
         total += max(0, gap - 1)
+    return total
+
+
+def grid_max_block_gap(grid: Grid) -> float:
+    """Max-block column-gap lower bound on remaining moves, by a grid loop.
+
+    Reference for the planner's bitmask heuristic: per pattern, the largest
+    over its blocks of (column distance to the nearest other block of the
+    pattern - 1), at least 0, summed; inf when some pattern has a single
+    block.
+    """
+    columns: dict[int, list[int]] = {}
+    for r, c in grid.interior():
+        v = grid.at(r, c)
+        if v > EMPTY:
+            columns.setdefault(v, []).append(c)
+    total = 0
+    for cols in columns.values():
+        if len(cols) == 1:
+            return math.inf
+        nearest = [
+            min(abs(a - b) for j, b in enumerate(cols) if j != i)
+            for i, a in enumerate(cols)
+        ]
+        total += max(0, max(nearest) - 1)
     return total
 
 

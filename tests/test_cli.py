@@ -52,6 +52,14 @@ class TestNoTraceback:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("corpus", ["{tmp}/missing", A13])
+    def test_bench_corpus_not_a_directory_exits_one(self, tmp_path, corpus):
+        # a mistyped path must not read as an empty corpus
+        code, out, err = run_process("bench", corpus.format(tmp=tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -382,9 +382,19 @@ class TestBoard:
         state, _, _ = engine.resolve(g)
         board = engine.Board(state.grid)
         masks = board.encode(state.grid)
-        assert board.column_gap(masks) == oracles.grid_column_gap(state.grid)
+        assert board.column_gap(masks) == oracles.grid_max_block_gap(state.grid)
         for _, child in board.successors(masks):
-            assert board.column_gap(child) == oracles.grid_column_gap(board.decode(child))
+            assert board.column_gap(child) == oracles.grid_max_block_gap(board.decode(child))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids(max_h=12, max_w=12))
+    def test_column_gap_dominates_closest_pair_bound(self, g):
+        state, _, _ = engine.resolve(g)
+        board = engine.Board(state.grid)
+        masks = board.encode(state.grid)
+        assert board.column_gap(masks) >= oracles.grid_column_gap(state.grid)
+        for _, child in board.successors(masks):
+            assert board.column_gap(child) >= oracles.grid_column_gap(board.decode(child))
 
 
 class TestQuiescentState:

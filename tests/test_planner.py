@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -13,6 +15,9 @@ from puzznic.engine import QuiescentState
 from test_engine import empty_grid, make_grid
 
 ALGOS = ("bfs", "astar", "iddfs")
+
+# The seeded hard corpus of the benchmark and its recorded optima.
+HARD_CORPUS = pathlib.Path(__file__).parent.parent / "benchmarks" / "corpus"
 
 # The first level of the hard benchmark corpus (optimum 8 moves).
 HARD0 = """\
@@ -31,20 +36,20 @@ HARD0 = """\
 # successor order, the duplicate rule or the pruning shows up here.
 PINNED = {
     ("hard0", "astar"): (
-        "7 2 R\n3 4 L\n7 7 L\n7 7 L\n3 3 L\n6 4 L\n8 7 L\n8 4 R\n",
-        dict(expanded=2137, generated=14288, duplicates=9170, dead_ends=223, max_frontier=2698),
+        "6 4 R\n8 2 R\n8 2 R\n6 5 R\n8 5 R\n3 4 L\n3 3 L\n8 5 R\n",
+        dict(expanded=882, generated=6376, duplicates=3520, dead_ends=71, max_frontier=1869),
     ),
     ("hard0", "bfs"): (
-        "3 4 L\n3 3 L\n6 4 R\n6 5 R\n8 2 R\n8 2 R\n8 5 R\n8 5 R\n",
-        dict(expanded=10098, generated=59773, duplicates=44929, dead_ends=662, max_frontier=4087),
+        "7 7 L\n7 7 L\n8 7 L\n8 2 R\n3 4 L\n3 3 L\n8 6 L\n8 2 R\n",
+        dict(expanded=7357, generated=45050, duplicates=33115, dead_ends=490, max_frontier=4095),
     ),
     ("5x7-ps1-a13", "astar"): (
-        "3 2 R\n3 4 L\n3 2 R\n3 4 L\n",
-        dict(expanded=50, generated=217, duplicates=67, dead_ends=0, max_frontier=102),
+        "3 2 R\n3 2 R\n2 4 L\n3 4 L\n",
+        dict(expanded=34, generated=137, duplicates=40, dead_ends=0, max_frontier=64),
     ),
     ("5x7-ps1-a13", "bfs"): (
-        "2 2 R\n2 4 L\n3 2 R\n3 4 L\n",
-        dict(expanded=79, generated=328, duplicates=167, dead_ends=0, max_frontier=84),
+        "3 4 L\n3 2 R\n3 4 L\n3 2 R\n",
+        dict(expanded=52, generated=227, duplicates=100, dead_ends=0, max_frontier=76),
     ),
 }
 
@@ -52,17 +57,17 @@ PINNED = {
 # whose g + h exceeds the bound: (level, algo, max_moves) -> plan, counters.
 PINNED_AT_BOUND = {
     ("5x7-ps1-a13", "astar", 4): (
-        "3 2 R\n3 4 L\n3 2 R\n3 4 L\n",
+        "3 2 R\n3 2 R\n2 4 L\n3 4 L\n",
         dict(
-            expanded=46, generated=204, duplicates=55, dead_ends=0,
-            pruned_bound=36, max_frontier=68,
+            expanded=34, generated=137, duplicates=40, dead_ends=0,
+            pruned_bound=21, max_frontier=45,
         ),
     ),
     ("5x7-ps1-a13", "bfs", 4): (
-        "2 2 R\n2 4 L\n3 2 R\n3 4 L\n",
+        "3 4 L\n3 2 R\n3 4 L\n3 2 R\n",
         dict(
-            expanded=79, generated=328, duplicates=167, dead_ends=0,
-            pruned_bound=0, max_frontier=84,
+            expanded=52, generated=227, duplicates=100, dead_ends=0,
+            pruned_bound=0, max_frontier=76,
         ),
     ),
 }
@@ -232,6 +237,54 @@ class TestSolve:
             else:
                 assert result.solved
                 assert result.outcome.plan.cost == expected
+
+    def test_hard_corpus_optima(self):
+        answers = json.loads((HARD_CORPUS / "answers.json").read_text())["hard"]
+        paths = sorted((HARD_CORPUS / "levels").glob("*.txt"))
+        assert sorted(p.stem for p in paths) == sorted(answers)
+        for path in paths:
+            state = QuiescentState(levels.load_level(path).grid)
+            expected = answers[path.stem]["moves"]
+            for algo in ("bfs", "astar"):
+                result = planner.solve(state, algo=algo)
+                cost = result.outcome.plan.cost if result.solved else None
+                assert cost == expected, (path.stem, algo)
+
+
+class TestDifferential:
+    """Every algorithm against the BFS oracle, at a loose bound, at the
+    optimum and one below it, where the goal test at generation meets the
+    depth bound."""
+
+    CAP = 12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_bfs_optimum_at_every_bound(self, seed):
+        # most small random levels are dead ends or solved within a move:
+        # draw until one needs two moves or more or is unsolvable without
+        # being a dead end (or test the last one drawn)
+        rng = random.Random(seed)
+        for _ in range(256):
+            state = oracles.random_quiescent(rng, max_h=5, max_w=5, n_patterns=2)
+            optimum = oracles.bfs_optimal_moves(state, cap=self.CAP)
+            if optimum is None:
+                wanted = not engine.is_dead_end(state.grid)
+            else:
+                wanted = optimum >= 2
+            if wanted:
+                break
+        bounds = {self.CAP} if optimum is None else {self.CAP, optimum, max(optimum - 1, 0)}
+        for max_moves in sorted(bounds):
+            expected = optimum if optimum is not None and optimum <= max_moves else None
+            for algo in ALGOS:
+                result = planner.solve(state, max_moves=max_moves, algo=algo)
+                if expected is None:
+                    assert isinstance(result.outcome, planner.ProvedUnsolvable), (algo, max_moves)
+                    assert result.outcome.within_bound == max_moves
+                else:
+                    assert isinstance(result.outcome, planner.Solved), (algo, max_moves)
+                    assert result.outcome.plan.cost == expected, (algo, max_moves)
 
 
 class TestUnsolvableReport:

@@ -9,8 +9,8 @@ alive.  A call on the same instance reuses it, so assumption-based
 optimization keeps its learned clauses.  A call on an instance that shares
 the cached `VarMap` and whose clauses begin with the clauses already loaded
 (checked, not assumed) loads only the clauses that follow: this is how the
-fixed-horizon route grows one formula and one solver across horizons,
-assuming each horizon's goal literal.  Any other instance gets a new solver.
+solving routes grow one formula and one solver across horizons, assuming
+each horizon's goal literal.  Any other instance gets a new solver.
 
 The external backend shells out to any DIMACS solver that prints the
 conventional `s SATISFIABLE`/`s UNSATISFIABLE` status and `v` literal lines

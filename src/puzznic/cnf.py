@@ -134,9 +134,10 @@ class CnfInstance:
     """A propositional encoding plus the meaning of its variables.
 
     `meta` records the mode ("fixed" or "varmoves"), the horizon and the
-    level.  `unary_moves` holds the sorted move-count literals of the
-    varmoves model: unary_moves[j] means "more than j player moves", so
-    assuming -unary_moves[k] caps the plan at k moves.
+    level.  `unary_moves` holds the sorted move-count literals that
+    `encode_varmoves` emits (other instances leave it empty):
+    unary_moves[j] means "more than j player moves", so assuming
+    -unary_moves[k] caps the plan at k moves.
     """
 
     num_vars: int

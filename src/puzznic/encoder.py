@@ -8,18 +8,23 @@ Two encodings over a step-indexed grid of one-hot cell-value variables:
   supporting) or one simultaneous removal of every matching block (again
   with instantaneous gravity, expressed through an order-preserving
   row-mapping function per column rather than explicit arithmetic).
-  `encode_fixed` emits the whole formula; `solve_iterative` grows one
-  formula a step at a time instead, with the goal at each horizon behind
-  an activation literal, and numbers each step's variables after the
-  previous steps' (the clauses are the same up to that numbering).
 
 - varmoves: counts only player moves.  The step axis becomes `ministeps`
   (moves + matches + a frozen dummy tail); the ministep horizon is
   max_moves plus the largest possible number of match steps, which is half
   the number of blocks since every match removes at least two.  Satisfiable
-  iff a plan with at most `max_moves` moves exists; a sorted unary counter
-  over the per-step moving flags is exposed so callers can minimize the
-  move count by assuming upper bounds, without re-encoding.
+  iff a plan with at most `max_moves` moves exists; `encode_varmoves` caps
+  the moves with a sorted unary counter over the per-step moving flags.
+
+`encode_fixed` and `encode_varmoves` emit one whole formula, the one
+`puzznic encode` writes.  `solve_iterative` instead grows one formula a
+ministep at a time, numbering each step's variables after the previous
+steps', with the goal at each horizon behind an activation literal.  Its
+varmoves formula caps the moves by counting non-move ministeps instead, a
+fixed number of registers per step, so that each bound adds one ministep.
+On that route only, every step also gets implied clauses from
+`engine.reach_partners`: each block has a block of its pattern at one of
+its partner cells.
 
 Every decoded model is validated against one replay of its moves through
 `engine.replay`; a mismatch raises ModelInconsistent since it can only mean
@@ -132,6 +137,7 @@ class _Encoder:
         # (s, r, c, v) -> var of grid[s, r, c] == v; walls hold no variables
         self.cells: dict[tuple[int, int, int, int], int] = {}
         self.hints: list[int] = []  # branch_hints: action variables, in order
+        self.non_moves: list[int] = []  # `add_step`'s registers at step S
         self._number(range(horizon + 1))
         self.b = ClauseBuilder()
 
@@ -224,14 +230,30 @@ class _Encoder:
         self.emit_match_transition(steps)
         self.emit_moves(steps)
 
-    def add_step(self) -> int:
-        """Grow the formula by step S+1 and return that step's fresh goal
-        literal: the goal at S+1 holds wherever the literal is true."""
+    def add_step(self, partners: dict, max_matches: int) -> tuple[int, ...]:
+        """Grow the solving route's formula by step S+1 and return what a
+        call at horizon S+1 assumes; () while S+1 <= max_matches, which
+        ends no horizon to try.
+
+        The step gets its constraint groups, the implied partner clauses
+        (`emit_partners`) and, in varmoves mode, the frozen dummy tail and
+        `max_matches` non-move registers.  The goal at S+1 holds wherever
+        the returned fresh goal literal is true; in varmoves mode the
+        register "at least `max_matches` non-moves in 1..S+1" is assumed
+        with it, which caps the plan at S+1 - max_matches moves."""
         n = self.S = self.S + 1
         self._number(range(n, n + 1))
-        goal = self.vm.aux()
-        self.emit_window(range(n, n + 1), goal_prefix=(-goal,))
-        return goal
+        goal = self.vm.aux() if n > max_matches else None
+        self.emit_window(range(n, n + 1), goal_prefix=None if goal is None else (-goal,))
+        self.emit_partners(range(n, n + 1), partners)
+        if self.mode == "varmoves":
+            if n > 1:
+                self.b.clauses.append((-self.vm.var("dummy", n - 1), self.vm.var("dummy", n)))
+            self._emit_frozen(n)
+            self._emit_non_moves(n, max_matches)
+        if goal is None:
+            return ()
+        return (goal, self.non_moves[-1]) if max_matches else (goal,)
 
     def emit_one_hot_cells(self, steps: range):
         cells, values, out = self.cells, [EMPTY] + self.patterns, self.b.clauses
@@ -490,15 +512,45 @@ class _Encoder:
         for (r, c), pairs in keep.items():
             out.extend([(matching, src_col[c], dst_col[c], *pair) for pair in pairs])
 
+    def emit_partners(self, steps: range, partners: dict) -> None:
+        # implied, solving route only: a block at x goes only beside a block
+        # of its pattern that starts at one of partners(x), so every state on
+        # the way to the goal has one there (`engine.reach_partners`)
+        cells, out = self.cells, self.b.clauses
+        for s in steps:
+            for (r, c), ys in partners.items():
+                for p in self.patterns:
+                    out.append((-cells[s, r, c, p], *[cells[s, y, x, p] for y, x in ys]))
+
+    def _emit_frozen(self, s: int) -> None:
+        # a dummy step keeps every cell
+        not_d, out = -self.vm.var("dummy", s), self.b.clauses
+        for pairs in self._keeps(s).values():
+            out.extend([(not_d, *pair) for pair in pairs])
+
+    def _emit_non_moves(self, s: int, k: int) -> None:
+        # registers q[s][j], "at least j non-move ministeps in 1..s", for
+        # j = 1..k; only q -> count is emitted, from q[s-1] (all false at
+        # s = 1): q[s][j] needs q[s-1][j], or a non-move at s and q[s-1][j-1]
+        out, before = self.b.clauses, self.non_moves
+        not_moving = -self.vm.var("moving", s)
+        now = [self.vm.aux() for _ in range(k)]
+        for j, q in enumerate(now):
+            if not before:
+                out.append((-q, not_moving) if j == 0 else (-q,))
+                continue
+            out.append((-q, before[j], not_moving))
+            if j:
+                out.append((-q, before[j], before[j - 1]))
+        self.non_moves = now
+
     def emit_varmoves_extras(self, max_moves: int) -> list[int]:
         # dummy steps freeze the grid and bunch up at the end of the plan
         out = self.b.clauses
         for s in range(1, self.S + 1):
-            not_d = -self.vm.var("dummy", s)
             if s < self.S:
-                out.append((not_d, self.vm.var("dummy", s + 1)))
-            for pairs in self._keeps(s).values():
-                out.extend([(not_d, *pair) for pair in pairs])
+                out.append((-self.vm.var("dummy", s), self.vm.var("dummy", s + 1)))
+            self._emit_frozen(s)
         moving = [self.vm.var("moving", s) for s in range(1, self.S + 1)]
         unary = self.b.totalizer(self.vm, moving)
         if max_moves < len(unary):
@@ -673,18 +725,22 @@ def solve_iterative(
 ) -> SearchResult:
     """Drive a backend over increasing horizons and decode the first model.
 
-    fixed mode: try n_steps = 1, 2, 3, ... up to `bound`; the first
-    satisfiable horizon gives a minimum-total-steps plan.  One formula
-    grows by one step per horizon, so each step is encoded and given to the
-    backend once; the goal at n is guarded by a fresh literal g_n, which
-    the call at horizon n assumes and which is refuted by the unit -g_n
-    once that horizon is unsatisfiable.  varmoves mode: double max_moves
-    (1, 2, 4, ...) up to `bound`, encoding each bound afresh, then minimize
-    the move count inside the first feasible horizon by assuming tighter
-    unary bounds, stopping one above the largest bound already proved
-    unsatisfiable.  Either way the returned trace is the replay that
+    One formula and, with the bundled backend, one solver with its learned
+    clauses serve every horizon: each ministep is encoded and given to the
+    backend once, and the first satisfiable horizon is the optimum.
+    fixed mode tries n_steps = 1, 2, 3, ... up to `bound`: a minimum-total-
+    steps plan.  varmoves mode tries max_moves m = 1, 2, 3, ... up to
+    `bound` over the horizon m + K, K = `max_match_steps`: a minimum-move
+    plan.  Each ministep is one of move, match or dummy, so "at most m
+    moves" is "at least K non-moves"; registers q[s][j], "at least j
+    non-moves in steps 1..s", hold that count for j = 1..K.  The call at
+    horizon n assumes a fresh goal literal g_n, under which the goal holds
+    at n, and in varmoves mode q[n][K] too; once that call is unsatisfiable,
+    the clause of the negated assumptions is added.  Every step also gets
+    the implied partner clauses, which refute a level with a stranded
+    block while the formula loads.  The returned trace is the replay that
     `decode_model` checked the model against.
-    The deadline is checked before every backend call, and the backend
+    The deadline is checked before every step is encoded, and the backend
     checks it again while it searches.
     """
     _validate_level(level)
@@ -708,73 +764,34 @@ def solve_iterative(
     if engine.is_goal(level):
         return done(SearchResult(Solved(Plan(()), engine.replay(level, ())[0]), stats))
 
-    if mode == "fixed":
-        if bound < 1:
-            raise BoundExhausted(f"no step horizons within bound {bound}")
-        enc = _Encoder(level, 0, "fixed")
-        enc.emit_window(range(1))
-        for n in range(1, bound + 1):
-            if expired():
-                return done(SearchResult(BudgetExhausted(), stats))
-            goal = enc.add_step()
-            instance = enc.finish({"mode": "fixed", "horizon": n, "level": level})
-            try:
-                model = backend(instance, (goal,), deadline)
-            except SolverBudgetExceeded:
-                return done(SearchResult(BudgetExhausted(), stats))
-            stats.generated = len(instance.clauses)  # every clause given so far
-            if model is None:
-                enc.b.clauses.append((-goal,))
-                continue
-            decoded = decode_model(instance, model)
-            return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
-        return done(SearchResult(ProvedUnsolvable(bound), stats))
-
-    if bound < 0:
-        raise BoundExhausted(f"no move bounds within {bound}")
-    schedule = []
-    m = 1
-    while m < bound:
-        schedule.append(m)
-        m *= 2
-    schedule.append(bound)
-    proven = 0  # largest move bound proved UNSAT: 0, as the level is not cleared
-    for m in schedule:
+    if bound < (1 if mode == "fixed" else 0):
+        raise BoundExhausted(f"no horizons within bound {bound}")
+    # a varmoves horizon of n ministeps caps the moves at n - max_matches:
+    # each ministep is a move, a match or a dummy
+    max_matches = max_match_steps(level) if mode == "varmoves" else 0
+    partners = engine.reach_partners(level)
+    enc = _Encoder(level, 0, mode)
+    enc.emit_window(range(1))
+    enc.emit_partners(range(1), partners)
+    last = bound + max_matches if bound else 0  # bound 0: an uncleared level needs a move
+    for n in range(1, last + 1):
         if expired():
             return done(SearchResult(BudgetExhausted(), stats))
-        instance = encode_varmoves(
-            level, m, max_horizon=bound + max_match_steps(level)
-        )
-        try:
-            model = backend(instance, (), deadline)
-        except SolverBudgetExceeded:
-            return done(SearchResult(BudgetExhausted(), stats))
-        stats.generated += len(instance.clauses)
-        if model is None:
-            proven = m
+        assumed = enc.add_step(partners, max_matches)
+        if not assumed:
             continue
-        best = model
-        mu = _count_moves(instance, model)
+        meta = {"mode": mode, "horizon": n, "level": level}
+        if mode == "varmoves":
+            meta["max_moves"] = n - max_matches
+        instance = enc.finish(meta)
         try:
-            while mu > proven + 1:
-                if expired():
-                    return done(SearchResult(BudgetExhausted(), stats))
-                tighter = backend(
-                    instance, (-instance.unary_moves[mu - 1],), deadline
-                )
-                if tighter is None:
-                    break
-                best = tighter
-                mu = _count_moves(instance, tighter)
+            model = backend(instance, assumed, deadline)
         except SolverBudgetExceeded:
             return done(SearchResult(BudgetExhausted(), stats))
-        decoded = decode_model(instance, best)
+        stats.generated = len(instance.clauses)  # every clause given so far
+        if model is None:
+            enc.b.clauses.append(tuple([-lit for lit in assumed]))
+            continue
+        decoded = decode_model(instance, model)
         return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
     return done(SearchResult(ProvedUnsolvable(bound), stats))
-
-
-def _count_moves(instance: CnfInstance, model) -> int:
-    vm = instance.varmap
-    horizon = instance.meta["horizon"]
-    return sum(1 for s in range(1, horizon + 1) if model[vm.var("moving", s)])
-

@@ -337,6 +337,54 @@ def is_dead_end(grid: Grid) -> bool:
     return any(n == 1 for n in pattern_counts(grid).values())
 
 
+def reach_partners(grid: Grid) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Per non-wall interior cell x, the cells a partner for a block at x
+    must be at; read off the walls alone, once per level.
+
+    Blocks slide left and right and fall, but never rise, so reach(x), every
+    cell a block at x can ever occupy, is the closure of x under steps left,
+    right and down through non-wall cells.  A block goes only in a match,
+    orthogonally next to a block of its own pattern.  So partners(x) holds
+    the non-wall cells y != x whose reach holds a cell orthogonally next to
+    a cell of reach(x), row-major: a state with a block at x whose pattern
+    is at none of partners(x) can never be cleared.
+
+    All cells of one row run (a wall-delimited stretch of a row) share one
+    reach and one partner set, so runs are worked bottom-up as masks in the
+    `Board` layout.
+    """
+    w = grid.width
+
+    def cells_of(mask: int):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            r, c = divmod(low.bit_length() - 1, w)
+            yield r + 1, c + 1
+
+    runs: list[tuple[int, int]] = []  # (cells, reach) per run, bottom row first
+    for r in range(grid.height - 2, 0, -1):
+        run = 0
+        for c in range(1, w):  # the perimeter wall at w - 1 closes the last run
+            if grid.cells[r][c] != WALL:
+                run |= 1 << (r * w + c)
+            elif run:
+                reach = run
+                for cells, below in runs:
+                    if cells & run << w:
+                        reach |= below
+                runs.append((run, reach))
+                run = 0
+    open_cells = sum(cells for cells, _ in runs)  # runs are disjoint: sum is or
+    out: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    for cells, reach in runs:
+        touch = (reach << 1 | reach >> 1 | reach << w | reach >> w) & open_cells
+        partners = sum(other for other, theirs in runs if theirs & touch)
+        for r, c in cells_of(cells):
+            out[(r, c)] = tuple(cells_of(partners & ~(1 << ((r - 1) * w + c - 1))))
+    return dict(sorted(out.items()))
+
+
 def state_key(grid: Grid) -> bytes:
     """Deterministic 128-bit digest of a grid, stable across processes.
 

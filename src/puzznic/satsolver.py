@@ -57,6 +57,7 @@ class CdclSolver:
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
         self.phase: list[bool] = [False]
+        self.seen: list[bool] = [False]  # `_analyze`'s marks, all False between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -74,9 +75,9 @@ class CdclSolver:
         if n <= self.nvars:
             return
         added = n - self.nvars
-        new = range(self.nvars + 1, n + 1)
-        self.pos_code.extend(v << 1 for v in new)
-        self.neg_code.extend((v << 1) | 1 for v in new)
+        first = (self.nvars + 1) << 1
+        self.pos_code.extend(range(first, (n + 1) << 1, 2))
+        self.neg_code.extend(range(first | 1, (n + 1) << 1, 2))
         self.nvars = n
         self.value.extend([0] * (2 * added))
         self.watches.extend([] for _ in range(2 * added))
@@ -84,6 +85,7 @@ class CdclSolver:
         self.reason.extend([None] * added)
         self.activity.extend([0.0] * added)
         self.phase.extend([False] * added)
+        self.seen.extend([False] * added)
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False if the formula is now trivially
@@ -255,7 +257,7 @@ class CdclSolver:
         trail = self.trail
         activity = self.activity
         learnt = [0]  # slot 0 receives the asserting literal
-        seen = [False] * (self.nvars + 1)
+        seen = self.seen
         counter = 0
         lits = conflict  # then each reason clause without its slot 0
         index = len(trail)
@@ -283,6 +285,9 @@ class CdclSolver:
                 break
             lits = self.reason[p >> 1][1:]
         learnt[0] = p ^ 1
+        # only the learnt clause's own variables are still marked
+        for q in learnt:
+            seen[q >> 1] = False
         if len(learnt) == 1:
             return learnt, 0
         back = max(level[q >> 1] for q in learnt[1:])
@@ -314,7 +319,7 @@ class CdclSolver:
         restart_idx = 1
         restart_budget = 100 * _luby(restart_idx)
         max_learnts = 4000
-        order = sorted(range(1, self.nvars + 1), key=lambda v: -self.activity[v])
+        order = self._order()
         order_pos = 0
 
         conflict = self._propagate()
@@ -350,9 +355,7 @@ class CdclSolver:
                     restart_idx += 1
                     restart_budget = conflict_count + 100 * _luby(restart_idx)
                     self._cancel_until(0)
-                    order = sorted(
-                        range(1, self.nvars + 1), key=lambda v: -self.activity[v]
-                    )
+                    order = self._order()
                     order_pos = 0
                 if len(self.learnts) > max_learnts:
                     self._reduce_learnts()
@@ -398,6 +401,11 @@ class CdclSolver:
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(var << 1 if self.phase[var] else (var << 1) | 1, None)
+
+    def _order(self) -> list[int]:
+        """Variables by decreasing activity, ties by increasing number (the
+        sort is stable, reversed or not)."""
+        return sorted(range(1, self.nvars + 1), key=self.activity.__getitem__, reverse=True)
 
     def _reduce_learnts(self) -> None:
         reason = self.reason

@@ -101,6 +101,42 @@ def grid_max_block_gap(grid: Grid) -> float:
     return total
 
 
+def reach_partners(grid: Grid) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Partner cells of every non-wall interior cell, by set closure.
+
+    Reference for `engine.reach_partners`: reach(x) is x closed under steps
+    left, right and down into non-wall cells, and y != x is a partner of x
+    when reach(y) holds an orthogonal neighbour of some cell of reach(x).
+    """
+    nonwall = [(r, c) for r, c in grid.interior() if grid.at(r, c) != engine.WALL]
+
+    def reach(x):
+        out, todo = {x}, [x]
+        while todo:
+            r, c = todo.pop()
+            for nxt in ((r, c - 1), (r, c + 1), (r + 1, c)):
+                if nxt not in out and grid.at(*nxt) != engine.WALL:
+                    out.add(nxt)
+                    todo.append(nxt)
+        return out
+
+    reaches = {x: reach(x) for x in nonwall}
+    partners = {}
+    for x in nonwall:
+        touch = {(r + dr, c + dc) for r, c in reaches[x] for dr, dc in engine._NEIGHBOURS}
+        partners[x] = tuple(y for y in nonwall if y != x and reaches[y] & touch)
+    return partners
+
+
+def stranded_blocks(grid: Grid, partners) -> list[tuple[int, int]]:
+    """Cells holding a block whose pattern is at none of its partner cells."""
+    return [
+        x
+        for x, ys in partners.items()
+        if grid.at(*x) > EMPTY and all(grid.at(*y) != grid.at(*x) for y in ys)
+    ]
+
+
 def random_grid(rng: random.Random, max_h: int = 8, max_w: int = 8,
                 n_patterns: int = 3, p_wall: float = 0.12, p_block: float = 0.35) -> Grid:
     """Random perimeter-walled grid; the interior need not be quiescent."""

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pathlib
 import random
 import sys
+import types
 from unittest import mock
 
 import pytest
@@ -15,6 +17,7 @@ from conftest import CORPUS_OPTIMA
 from puzznic import encoder, engine, planner
 from puzznic.backends import BackendFailure, ExternalBackend, InternalBackend
 from puzznic.cnf import CnfInstance, VarMap
+from puzznic.satsolver import solve_clauses
 from test_engine import make_grid
 
 STUB = pathlib.Path(__file__).parent / "data" / "stub_solver.py"
@@ -47,15 +50,19 @@ PINNED_LEVEL_DIMACS = [
 
 
 class _Recording(InternalBackend):
-    """Internal backend that records each call's horizon and verdict."""
+    """Internal backend that records each call's horizon and verdict, and
+    the move bound of each varmoves call."""
 
     def __init__(self):
         super().__init__()
         self.verdicts: list[tuple[int, bool]] = []
+        self.bounds: list[int] = []
 
     def __call__(self, instance, assumptions=(), deadline=None):
         model = super().__call__(instance, assumptions, deadline)
         self.verdicts.append((instance.meta["horizon"], model is not None))
+        if "max_moves" in instance.meta:
+            self.bounds.append(instance.meta["max_moves"])
         return model
 
 
@@ -117,10 +124,11 @@ def test_level_dimacs_is_pinned(corpus, name, digest):
 
 
 def _encodings(level, mode, n):
-    """The instance of `encode_<mode>(level, n)`, or with mode "iterative"
-    every instance `solve_iterative`'s fixed route builds by `add_step` up
-    to bound n, each call answered UNSAT so that every horizon is built."""
-    if mode != "iterative":
+    """The instance of `encode_<mode>(level, n)`, or with mode
+    "iterative-<mode>" every instance `solve_iterative`'s route builds by
+    `add_step` up to bound n, each call answered UNSAT so that every
+    horizon is built."""
+    if not mode.startswith("iterative"):
         return [getattr(encoder, f"encode_{mode}")(level, n)]
     built: list[CnfInstance] = []
 
@@ -128,7 +136,7 @@ def _encodings(level, mode, n):
         built.append(instance)
         return None
 
-    encoder.solve_iterative(level, mode="fixed", bound=n, backend=unsat)
+    encoder.solve_iterative(level, mode=mode.split("-")[1], bound=n, backend=unsat)
     return built
 
 
@@ -136,7 +144,7 @@ class TestReferenceWriter:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["fixed", "varmoves", "iterative"]),
+        st.sampled_from(["fixed", "varmoves", "iterative-fixed", "iterative-varmoves"]),
         st.integers(min_value=1, max_value=3),
     )
     def test_matches_reference_fold_and_writer(self, seed, mode, n):
@@ -162,7 +170,7 @@ class TestReferenceWriter:
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["fixed", "varmoves", "iterative"]),
+    st.sampled_from(["fixed", "varmoves", "iterative-fixed", "iterative-varmoves"]),
     st.integers(min_value=1, max_value=3),
 )
 def test_no_constant_reaches_a_clause(seed, mode, n):
@@ -482,8 +490,9 @@ class TestSolveIterative:
 
     def test_fixed_past_the_last_execution(self):
         # a move, then a match that strands the third block: no execution
-        # has three steps, and search (not loading) finds that out, so the
-        # grown formula stays unsatisfiable at every later horizon
+        # has three steps.  The block at (3, 5) has no partner but a block
+        # at (2, 5), so loading refutes the grown formula, and it stays
+        # unsatisfiable at every later horizon
         level = make_grid("######", "#.1#.#", "#1##1#", "######")
         backend = _Recording()
         result = encoder.solve_iterative(level, mode="fixed", bound=6, backend=backend)
@@ -492,25 +501,87 @@ class TestSolveIterative:
         for n in range(1, 7):
             assert InternalBackend()(encoder.encode_fixed(level, n)) is None
 
-    def test_varmoves_never_retries_a_proved_bound(self, corpus):
-        # assuming -unary_moves[k] caps a call at k moves; a cap at or below
-        # a bound already proved UNSAT can only be UNSAT again
-        calls: list[tuple[int, bool]] = []
-        backend = InternalBackend()
+    # the last level clears its four blocks with two moves and one match
+    # step, fewer than its two possible ones: a bound one move too loose
+    # would accept it at bound 1
+    @pytest.mark.parametrize(
+        "name,optimum",
+        [
+            ("5x7-ps1-a13", 4),
+            ("8x8-desk-big", 3),
+            pytest.param(("#######", "#..#2.#", "#1..12#", "#######"), 2, id="one-match-step"),
+        ],
+    )
+    def test_varmoves_asks_each_bound_once(self, corpus, name, optimum):
+        # one ministep per bound, so the first satisfiable bound is the
+        # optimum and no bound is asked twice
+        level = corpus[name].grid if isinstance(name, str) else make_grid(*name)
+        backend = _Recording()
+        result = encoder.solve_iterative(level, mode="varmoves", bound=100, backend=backend)
+        assert result.outcome.plan.cost == optimum
+        assert backend.bounds == list(range(1, optimum + 1))
+        cap = encoder.max_match_steps(level)
+        assert [h for h, _ in backend.verdicts] == [m + cap for m in backend.bounds]
+        assert [sat for _, sat in backend.verdicts] == [False] * (optimum - 1) + [True]
 
-        def capped(instance, assumptions=(), deadline=None):
-            model = backend(instance, assumptions, deadline)
-            negated = [-lit for lit in assumptions]
-            cap = min(map(instance.unary_moves.index, negated), default=instance.meta["max_moves"])
-            calls.append((cap, model is not None))
-            return model
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_move_registers_count(self, corpus, k):
+        # q[H][k] can hold iff at least k of the H moving flags are false
+        horizon = 5
+        enc = encoder._Encoder(corpus["5x3-desk-corridor"].grid, horizon, "varmoves")
+        for s in range(1, horizon + 1):
+            enc._emit_non_moves(s, k)
+        moving = [enc.vm.var("moving", s) for s in range(1, horizon + 1)]
+        for flags in itertools.product([False, True], repeat=horizon):
+            units = [(v if on else -v,) for v, on in zip(moving, flags)]
+            model = solve_clauses(enc.b.clauses + units, len(enc.vm), (enc.non_moves[-1],))
+            assert (model is not None) == (flags.count(False) >= k), flags
 
+    def test_varmoves_bound_zero_asks_nothing(self, corpus):
+        backend = _Recording()
         result = encoder.solve_iterative(
-            corpus["8x8-desk-big"].grid, mode="varmoves", bound=100, backend=capped
+            corpus["5x3-desk-corridor"].grid, mode="varmoves", bound=0, backend=backend
         )
-        assert isinstance(result.outcome, planner.Solved)
-        for i, (cap, _) in enumerate(calls):
-            assert all(cap > before for before, sat in calls[:i] if not sat), calls
+        assert isinstance(result.outcome, planner.ProvedUnsolvable)
+        assert result.outcome.within_bound == 0
+        assert backend.verdicts == []
+
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    @pytest.mark.parametrize("name", ["4x3-desk-singleton", "6x3-desk-sealed"])
+    def test_stranded_block_refuted_while_loading(self, corpus, name, mode):
+        # the partner clauses at step 0 conflict with the initial units
+        backend = InternalBackend()
+        result = encoder.solve_iterative(corpus[name].grid, mode=mode, bound=100, backend=backend)
+        assert isinstance(result.outcome, planner.ProvedUnsolvable)
+        assert not backend._solver.ok
+        assert backend._solver.conflicts == 0
+
+    def test_deadline_between_bounds_encodes_no_further_step(self, corpus, monkeypatch):
+        # the budget runs out while bound 1 is solved: the route stops
+        # before it encodes the step of bound 2
+        clock = [0.0]
+        monkeypatch.setattr(encoder, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+        steps: list[int] = []
+        add_step = encoder._Encoder.add_step
+
+        def counting(enc, *args):
+            steps.append(enc.S + 1)
+            return add_step(enc, *args)
+
+        monkeypatch.setattr(encoder._Encoder, "add_step", counting)
+        inner = _Recording()
+
+        def slow(instance, assumptions=(), deadline=None):
+            clock[0] += 10.0
+            return inner(instance, assumptions)
+
+        level = corpus["8x8-desk-big"].grid
+        result = encoder.solve_iterative(
+            level, mode="varmoves", bound=100, backend=slow, time_limit=5.0
+        )
+        assert isinstance(result.outcome, planner.BudgetExhausted)
+        assert inner.bounds == [1]
+        assert steps == list(range(1, encoder.max_match_steps(level) + 2))
 
     def test_fixed_counts_each_clause_once(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
@@ -580,6 +651,24 @@ class TestVarmovesDifferential:
         else:
             assert isinstance(result.outcome, planner.Solved)
             assert result.outcome.plan.cost == optimum
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_each_bound_agrees_with_a_fresh_encoding(self, seed, solvable):
+        rng = random.Random(seed)
+        for _ in range(64):
+            state = oracles.random_quiescent(rng, max_h=5, max_w=5, n_patterns=2)
+            optimum = oracles.bfs_optimal_moves(state, cap=self.BOUND)
+            if not engine.is_goal(state.grid) and (optimum is not None) == solvable:
+                break
+        backend = _Recording()
+        encoder.solve_iterative(state.grid, mode="varmoves", bound=self.BOUND, backend=backend)
+        for m, (_, sat) in zip(backend.bounds, backend.verdicts):
+            fresh = InternalBackend()(encoder.encode_varmoves(state.grid, m))
+            assert sat == (fresh is not None), m
+        if not engine.is_goal(state.grid):
+            last = self.BOUND if optimum is None else optimum
+            assert backend.bounds == list(range(1, last + 1))
 
 
 class TestInternalBackendReuse:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from puzznic import engine
+from puzznic import engine, planner
 from puzznic.engine import (
     EMPTY,
     LEFT,
@@ -314,6 +314,42 @@ class TestDeadEnd:
         assert engine.pattern_counts(lf.grid) == {1: 3}
         assert not engine.is_dead_end(lf.grid)
         assert oracles.bfs_optimal_moves(QuiescentState(lf.grid)) == 1
+
+
+class TestReachPartners:
+    def test_walled_in_block_has_no_partner(self, corpus):
+        grid = corpus["6x3-desk-sealed"].grid  # R#R.
+        partners = engine.reach_partners(grid)
+        assert partners == {(2, 2): (), (2, 4): ((2, 5),), (2, 5): ((2, 4),)}
+        assert oracles.stranded_blocks(grid, partners) == [(2, 2), (2, 4)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(max_h=10, max_w=10))
+    def test_matches_set_closure_reference(self, g):
+        assert engine.reach_partners(g) == oracles.reach_partners(g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_sound_on_small_levels(self, seed, stranded):
+        # a root with a stranded block is unsolvable, and no state of an
+        # optimal plan's replay strands one; draw until a level with a
+        # stranded block or a solvable one turns up, as wanted
+        rng = random.Random(seed)
+        for _ in range(64):
+            state = oracles.random_quiescent(rng, max_h=5, max_w=6, n_patterns=2)
+            partners = engine.reach_partners(state.grid)
+            optimum = oracles.bfs_optimal_moves(state)
+            found = bool(oracles.stranded_blocks(state.grid, partners))
+            if found if stranded else optimum:
+                break
+        if found:
+            assert optimum is None
+        if optimum is not None:
+            result = planner.solve(state, algo="bfs")
+            assert result.outcome.plan.cost == optimum
+            trace = result.outcome.trace
+            for grid in (trace.initial, *(event.after for event in trace.events)):
+                assert oracles.stranded_blocks(grid, partners) == []
 
 
 class TestStateKey:

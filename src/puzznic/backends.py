@@ -1,33 +1,35 @@
 """CNF solving backends.
 
-A backend is a callable `(instance, assumptions=(), deadline=None)` that
-returns a model as a bool list indexed by variable, or None when the
-instance is unsatisfiable under the assumptions.
+A backend is one incremental solver session over one growing formula, in
+the manner of IPASIR and MiniSat:
 
-The internal backend runs the bundled CDCL solver and keeps its last solver
-alive.  A call on the same instance reuses it, so assumption-based
-optimization keeps its learned clauses.  A call on an instance that shares
-the cached `VarMap` and whose clauses begin with the clauses already loaded
-(checked, not assumed) loads only the clauses that follow: this is how the
-solving routes grow one formula and one solver across horizons, assuming
-each horizon's goal literal.  Any other instance gets a new solver.
+- `add(clauses, num_vars, hints=())` takes new clauses once, over variables
+  numbered up to `num_vars`.  It returns False once it knows the clauses
+  alone are unsatisfiable (the external backend never does), and every
+  later call then returns None.  `hints` name action variables to branch
+  on first; only variables new in this `add` are raised.
+- `__call__(assumptions=(), deadline=None)` returns a model of every clause
+  added so far, as a bool list indexed by variable, or None when there is
+  none under the assumptions.
+
+The internal backend is the bundled CDCL solver: one solver per session,
+which keeps its learned clauses across calls.
 
 The external backend shells out to any DIMACS solver that prints the
 conventional `s SATISFIABLE`/`s UNSATISFIABLE` status and `v` literal lines
-(exit codes 10/20 are also accepted).  It is given the whole instance on
-every call, with the assumptions appended as unit clauses, so it solves the
-same cumulative formula from scratch.
+(exit codes 10/20 are also accepted).  It keeps the clauses added so far,
+and each call writes them all, with the assumptions appended as unit
+clauses, so the solver solves the same cumulative formula from scratch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import tempfile
 import time
 
-from puzznic.cnf import CnfInstance, parse_solver_output
+from puzznic.cnf import CnfInstance, VarMap, parse_solver_output
 from puzznic.satsolver import CdclSolver
 
 ENV_BACKEND = "PUZZNIC_SAT_BACKEND"
@@ -38,40 +40,22 @@ class BackendFailure(Exception):
 
 
 class InternalBackend:
-    """Bundled CDCL solver, reused across assumption calls and across
-    instances that extend the loaded clauses."""
+    """Bundled CDCL solver session."""
 
     def __init__(self) -> None:
-        self._solver: CdclSolver | None = None
-        self._varmap = None
-        self._loaded: tuple = ()  # the clauses the solver holds, in order
+        self._solver = CdclSolver()
 
-    def _solver_for(self, instance: CnfInstance) -> CdclSolver:
-        clauses = instance.clauses
-        done = len(self._loaded)
+    def add(self, clauses, num_vars: int, hints=()) -> bool:
         solver = self._solver
-        if not (
-            solver is not None
-            and instance.varmap is self._varmap
-            and len(clauses) >= done
-            and clauses[:done] == self._loaded
-        ):
-            # free the old solver and its clauses before loading a new one
-            self._solver, self._varmap, self._loaded = None, None, ()
-            solver = CdclSolver()
-            done = 0
         first_new = solver.nvars + 1
-        solver.ensure_vars(instance.num_vars)
-        for var in instance.branch_hints:
+        solver.ensure_vars(num_vars)
+        for var in hints:
             if var >= first_new:
                 solver.activity[var] = 1.0
-        solver.add_clauses(clauses[done:] if done else clauses)
-        self._solver, self._varmap, self._loaded = solver, instance.varmap, clauses
-        return solver
+        return solver.add_clauses(clauses)
 
-    def __call__(self, instance, assumptions=(), deadline=None):
-        solver = self._solver_for(instance)
-        return solver.solve(assumptions=tuple(assumptions), deadline=deadline)
+    def __call__(self, assumptions=(), deadline=None):
+        return self._solver.solve(assumptions=tuple(assumptions), deadline=deadline)
 
 
 class ExternalBackend:
@@ -79,10 +63,18 @@ class ExternalBackend:
 
     def __init__(self, executable: str):
         self.executable = executable
+        self._clauses: list[tuple[int, ...]] = []
+        self._num_vars = 0
 
-    def __call__(self, instance, assumptions=(), deadline=None):
-        units = tuple((lit,) for lit in assumptions)
-        text = dataclasses.replace(instance, clauses=instance.clauses + units).to_dimacs()
+    def add(self, clauses, num_vars: int, hints=()) -> bool:
+        self._clauses.extend(clauses)
+        self._num_vars = max(self._num_vars, num_vars)
+        return True
+
+    def __call__(self, assumptions=(), deadline=None):
+        num_vars = self._num_vars
+        units = [(lit,) for lit in assumptions]
+        text = CnfInstance(num_vars, (*self._clauses, *units), VarMap(()), {}).to_dimacs()
         timeout = None
         if deadline is not None:
             timeout = max(0.1, deadline - time.monotonic())
@@ -120,10 +112,10 @@ class ExternalBackend:
                 f"backend {self.executable} gave no verdict "
                 f"(exit {proc.returncode}, status {status!r})"
             )
-        model = [False] * (instance.num_vars + 1)
+        model = [False] * (num_vars + 1)
         for lit in lits:
             var = abs(lit)
-            if var <= instance.num_vars:
+            if var <= num_vars:
                 model[var] = lit > 0
         return model
 

@@ -723,11 +723,10 @@ def solve_iterative(
     backend=None,
     time_limit: float | None = None,
 ) -> SearchResult:
-    """Drive a backend over increasing horizons and decode the first model.
+    """Drive one backend session over increasing horizons and decode the
+    first model.  Each ministep is encoded and handed to `backend.add` once,
+    and the first satisfiable horizon is the optimum.
 
-    One formula and, with the bundled backend, one solver with its learned
-    clauses serve every horizon: each ministep is encoded and given to the
-    backend once, and the first satisfiable horizon is the optimum.
     fixed mode tries n_steps = 1, 2, 3, ... up to `bound`: a minimum-total-
     steps plan.  varmoves mode tries max_moves m = 1, 2, 3, ... up to
     `bound` over the horizon m + K, K = `max_match_steps`: a minimum-move
@@ -736,12 +735,18 @@ def solve_iterative(
     non-moves in steps 1..s", hold that count for j = 1..K.  The call at
     horizon n assumes a fresh goal literal g_n, under which the goal holds
     at n, and in varmoves mode q[n][K] too; once that call is unsatisfiable,
-    the clause of the negated assumptions is added.  Every step also gets
-    the implied partner clauses, which refute a level with a stranded
-    block while the formula loads.  The returned trace is the replay that
-    `decode_model` checked the model against.
-    The deadline is checked before every step is encoded, and the backend
-    checks it again while it searches.
+    the clause of the negated assumptions leads the next step.
+
+    Every step also gets the implied partner clauses, so a stranded block
+    refutes the clauses while they load.  Once `add` reports them refuted,
+    the route stops with ProvedUnsolvable.  That is sound: every lower
+    horizon was unsatisfiable, so any plan has at least n steps (varmoves
+    pads a shorter one with dummies), and its first n steps satisfy the
+    clauses at n: the transitions, the partner clauses (true on every state
+    on the way to a goal), the registers (only q -> count is emitted) and
+    the negated assumptions (every g false).  The deadline is checked before
+    each step is handed over, and the backend checks it again while it
+    searches.  The returned trace is the replay `decode_model` checked.
     """
     _validate_level(level)
     if mode not in ("fixed", "varmoves"):
@@ -773,25 +778,28 @@ def solve_iterative(
     enc = _Encoder(level, 0, mode)
     enc.emit_window(range(1))
     enc.emit_partners(range(1), partners)
-    last = bound + max_matches if bound else 0  # bound 0: an uncleared level needs a move
-    for n in range(1, last + 1):
+    last = bound + max_matches if bound else -1  # bound 0: an uncleared level needs a move
+    for n in range(last + 1):
         if expired():
             return done(SearchResult(BudgetExhausted(), stats))
-        assumed = enc.add_step(partners, max_matches)
+        assumed = enc.add_step(partners, max_matches) if n else ()
+        clauses, enc.b.clauses = enc.b.clauses, []
+        hints, enc.hints = enc.hints, []
+        stats.generated += len(clauses)  # every clause given so far
+        if not backend.add(clauses, len(enc.vm), hints):
+            return done(SearchResult(ProvedUnsolvable(bound), stats))
         if not assumed:
+            continue
+        try:
+            model = backend(assumed, deadline)
+        except SolverBudgetExceeded:
+            return done(SearchResult(BudgetExhausted(), stats))
+        if model is None:
+            enc.b.clauses.append(tuple([-lit for lit in assumed]))
             continue
         meta = {"mode": mode, "horizon": n, "level": level}
         if mode == "varmoves":
             meta["max_moves"] = n - max_matches
-        instance = enc.finish(meta)
-        try:
-            model = backend(instance, assumed, deadline)
-        except SolverBudgetExceeded:
-            return done(SearchResult(BudgetExhausted(), stats))
-        stats.generated = len(instance.clauses)  # every clause given so far
-        if model is None:
-            enc.b.clauses.append(tuple([-lit for lit in assumed]))
-            continue
-        decoded = decode_model(instance, model)
+        decoded = decode_model(enc.finish(meta), model)
         return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
     return done(SearchResult(ProvedUnsolvable(bound), stats))

@@ -14,8 +14,8 @@ from collections import deque
 import oracles
 from conftest import CORPUS_OPTIMA
 from puzznic import encoder, engine, levels, pddl, planner
-from puzznic.backends import InternalBackend
 from puzznic.engine import EMPTY, WALL, Grid, QuiescentState
+from sessions import solve
 
 ALGOS = ("bfs", "astar", "iddfs")
 
@@ -85,11 +85,10 @@ def test_criterion_4_encoder_planner_agreement(corpus):
         assert isinstance(sat.outcome, planner.Solved), name
         assert sat.outcome.plan.cost == expected, (name, sat.outcome.plan.cost)
 
-        backend = InternalBackend()
         if expected > 0:
             for n in itertools.count(1):
                 instance = encoder.encode_fixed(lf.grid, n)
-                model = backend(instance)
+                model = solve(instance)
                 if model is None:
                     continue
                 decoded = encoder.decode_model(instance, model)

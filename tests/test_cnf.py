@@ -12,6 +12,7 @@ from puzznic import cnf, encoder
 from puzznic.backends import InternalBackend
 from puzznic.cnf import ClauseBuilder, CnfInstance, VarMap, parse_solver_output
 from puzznic.satsolver import CdclSolver, SolverBudgetExceeded, _luby, solve_clauses
+from sessions import solve
 
 # Search fingerprints of one solve on a fresh solver: (level, mode, horizon
 # or move bound, cumulative conflicts, cumulative decisions, sha256 of the
@@ -108,7 +109,7 @@ class TestCdclSolver:
     def test_search_is_pinned(self, corpus, name, mode, bound, conflicts, decisions, model_sha):
         instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, bound)
         backend = InternalBackend()
-        model = backend(instance)
+        model = solve(instance, session=backend)
         solver = backend._solver
         assert (solver.conflicts, solver.decisions) == (conflicts, decisions)
         digest = None if model is None else hashlib.sha256(bytes(model)).hexdigest()

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CORPUS_OPTIMA
-from puzznic import encoder, engine, planner
+from conftest import CORPUS_OPTIMA, LEVELS_DIR
+from puzznic import encoder, engine, levels, planner
 from puzznic.backends import BackendFailure, ExternalBackend, InternalBackend
 from puzznic.cnf import CnfInstance, VarMap
-from puzznic.satsolver import solve_clauses
+from puzznic.satsolver import CdclSolver, solve_clauses
+from sessions import Recording, Unsat, solve
 from test_engine import make_grid
 
 STUB = pathlib.Path(__file__).parent / "data" / "stub_solver.py"
@@ -48,63 +49,32 @@ PINNED_LEVEL_DIMACS = [
     ("8x8-desk-big", "20f34bb5e36a81bc94b6293fc6d6f7828b35bb08c5911215a0ccc18143df95b8"),
 ]
 
+# The search of `solve_iterative` at bound 100, as recorded when the route
+# still handed its backend a whole instance per horizon: the solver's
+# (conflicts, decisions) and the plan's (row, col, dir) moves.  They stay
+# only while clauses, hints and negated assumptions load in the same order.
+PINNED_ROUTE = [
+    ("8x4-desk-twopat", "fixed", 428, 1221, [(3, 2, 1), (3, 5, -1), (3, 4, -1)]),
+    ("8x4-desk-twopat", "varmoves", 152, 499, [(3, 4, -1), (3, 2, 1), (3, 3, 1)]),
+    ("6x5-desk-stack", "fixed", 142, 324, [(3, 3, -1), (3, 3, 1)]),
+    ("6x5-desk-stack", "varmoves", 22, 86, [(2, 3, 1), (3, 3, -1)]),
+    ("7x6-desk-cascade", "fixed", 37, 170, [(3, 5, -1)]),
+    ("7x6-desk-cascade", "varmoves", 24, 128, [(3, 5, -1)]),
+]
 
-class _Recording(InternalBackend):
-    """Internal backend that records each call's horizon and verdict, and
-    the move bound of each varmoves call."""
-
-    def __init__(self):
-        super().__init__()
-        self.verdicts: list[tuple[int, bool]] = []
-        self.bounds: list[int] = []
-
-    def __call__(self, instance, assumptions=(), deadline=None):
-        model = super().__call__(instance, assumptions, deadline)
-        self.verdicts.append((instance.meta["horizon"], model is not None))
-        if "max_moves" in instance.meta:
-            self.bounds.append(instance.meta["max_moves"])
-        return model
+# `8x8-desk-big` with a lone block walled in at the bottom right: no plan,
+# and every horizon's clauses are refuted while step 0 loads
+WALLED_IN = ("8x8-desk-big", "#R.BR..#", "#R.BR#G#")
 
 
-class _StubExternal(ExternalBackend):
-    """Runs the stub solver script through the current interpreter."""
-
-    def __init__(self):
-        super().__init__(str(STUB))
-
-    def __call__(self, instance, assumptions=(), deadline=None):
-        import subprocess
-        import tempfile
-        import os
-
-        text = instance.to_dimacs()
-        if assumptions:
-            header = f"p cnf {instance.num_vars} {len(instance.clauses)}"
-            patched = (
-                f"p cnf {instance.num_vars} {len(instance.clauses) + len(assumptions)}"
-            )
-            text = text.replace(header, patched, 1)
-            text += "".join(f"{lit} 0\n" for lit in assumptions)
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-            fh.write(text)
-            path = fh.name
-        try:
-            proc = subprocess.run(
-                [sys.executable, str(STUB), path], capture_output=True, text=True
-            )
-        finally:
-            os.unlink(path)
-        from puzznic.cnf import parse_solver_output
-
-        status, lits = parse_solver_output(proc.stdout)
-        if status.upper().startswith("UNSAT") or proc.returncode == 20:
-            return None
-        assert status.upper().startswith("SAT") or proc.returncode == 10
-        model = [False] * (instance.num_vars + 1)
-        for lit in lits:
-            if abs(lit) <= instance.num_vars:
-                model[abs(lit)] = lit > 0
-        return model
+@pytest.fixture
+def stub_external(tmp_path):
+    """An external session on the stub solver, through a python-less
+    wrapper script so that it runs as a single executable."""
+    wrapper = tmp_path / "stubsolver"
+    wrapper.write_text(f"#!/bin/sh\nexec {sys.executable} {STUB} \"$1\"\n")
+    wrapper.chmod(0o755)
+    return lambda: ExternalBackend(str(wrapper))
 
 
 @pytest.mark.parametrize("name,mode,n,digest", PINNED_DIMACS)
@@ -123,21 +93,24 @@ def test_level_dimacs_is_pinned(corpus, name, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,mode,conflicts,decisions,plan", PINNED_ROUTE)
+def test_route_search_is_pinned(corpus, name, mode, conflicts, decisions, plan):
+    backend = InternalBackend()
+    result = encoder.solve_iterative(corpus[name].grid, mode=mode, bound=100, backend=backend)
+    assert (backend._solver.conflicts, backend._solver.decisions) == (conflicts, decisions)
+    assert [(m.row, m.col, m.dir) for m in result.outcome.plan.moves] == plan
+
+
 def _encodings(level, mode, n):
     """The instance of `encode_<mode>(level, n)`, or with mode
-    "iterative-<mode>" every instance `solve_iterative`'s route builds by
-    `add_step` up to bound n, each call answered UNSAT so that every
-    horizon is built."""
+    "iterative-<mode>" the cumulative formula, with the assumptions as
+    units, at every call of `solve_iterative`'s route up to bound n, each
+    call answered UNSAT so that every horizon is built."""
     if not mode.startswith("iterative"):
         return [getattr(encoder, f"encode_{mode}")(level, n)]
-    built: list[CnfInstance] = []
-
-    def unsat(instance, assumptions=(), deadline=None):
-        built.append(instance)
-        return None
-
-    encoder.solve_iterative(level, mode=mode.split("-")[1], bound=n, backend=unsat)
-    return built
+    session = Unsat()
+    encoder.solve_iterative(level, mode=mode.split("-")[1], bound=n, backend=session)
+    return session.instances
 
 
 class TestReferenceWriter:
@@ -188,26 +161,24 @@ class TestEncodeFixed:
     def test_solved_level_one_step_unsat(self, corpus):
         level = corpus["3x3-desk-solved"].grid
         inst = encoder.encode_fixed(level, 1)
-        assert InternalBackend()(inst) is None
+        assert solve(inst) is None
 
     def test_corridor_horizons(self, corpus):
         # one move then one forced match: satisfiable only at exactly 2
         level = corpus["5x3-desk-corridor"].grid
-        be = InternalBackend()
-        assert be(encoder.encode_fixed(level, 1)) is None
+        assert solve(encoder.encode_fixed(level, 1)) is None
         inst = encoder.encode_fixed(level, 2)
-        model = be(inst)
+        model = solve(inst)
         assert model is not None
         decoded = encoder.decode_model(inst, model)
         assert decoded.step_kinds == (encoder.MOVE_STEP, encoder.MATCH_STEP)
         assert decoded.total_steps == 2
-        assert be(encoder.encode_fixed(level, 3)) is None  # cleared grids stall
+        assert solve(encoder.encode_fixed(level, 3)) is None  # cleared grids stall
 
     def test_a13_minimal_horizon_matches_decoded_steps(self, a13):
-        be = InternalBackend()
         for n in range(1, 10):
             inst = encoder.encode_fixed(a13.grid, n)
-            model = be(inst)
+            model = solve(inst)
             if model is None:
                 continue
             decoded = encoder.decode_model(inst, model)
@@ -221,10 +192,9 @@ class TestEncodeFixed:
 
     def test_agrees_with_step_oracle_on_corpus(self, corpus):
         for name, lf in corpus.items():
-            be = InternalBackend()
             for n in range(1, 9):
                 inst = encoder.encode_fixed(lf.grid, n)
-                model = be(inst)
+                model = solve(inst)
                 expect = oracles.exact_step_sequence_exists(lf.grid, n)
                 assert (model is not None) == expect, (name, n)
                 if model is not None:
@@ -248,7 +218,7 @@ class TestEncodeVarmoves:
     def test_zero_moves_unsolved_unsat(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
         inst = encoder.encode_varmoves(level, 0)
-        assert InternalBackend()(inst) is None
+        assert solve(inst) is None
 
     def test_max_match_steps_is_half_the_blocks(self):
         level = make_grid("#########", "#1213231#", "#########")
@@ -260,10 +230,9 @@ class TestEncodeVarmoves:
     def test_monotone_in_move_budget(self, corpus):
         # once satisfiable, larger budgets stay satisfiable
         level = corpus["6x3-desk-gap3"].grid  # optimum 2
-        be = InternalBackend()
         results = []
         for m in range(0, 5):
-            model = be(encoder.encode_varmoves(level, m))
+            model = solve(encoder.encode_varmoves(level, m))
             results.append(model is not None)
         assert results == [False, False, True, True, True]
 
@@ -282,7 +251,7 @@ class TestDecodeModel:
     def test_all_dummy_tail(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
         inst = encoder.encode_varmoves(level, 3)
-        model = InternalBackend()(inst, (-inst.unary_moves[1],))  # at most 1 move
+        model = solve(inst, (-inst.unary_moves[1],))  # at most 1 move
         assert model is not None
         decoded = encoder.decode_model(inst, model)
         assert decoded.plan.cost == 1
@@ -292,7 +261,7 @@ class TestDecodeModel:
     def test_corrupted_assignment_rejected(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
         inst = encoder.encode_fixed(level, 2)
-        model = InternalBackend()(inst)
+        model = solve(inst)
         assert model is not None
         vm = inst.varmap
         corrupt = list(model)
@@ -404,7 +373,7 @@ class TestDecodeModel:
         encode = encoder.encode_fixed if mode == "fixed" else encoder.encode_varmoves
         inst = encode(level, n)
         assumptions = () if at_most is None else (-inst.unary_moves[at_most],)
-        model = InternalBackend()(inst, assumptions)
+        model = solve(inst, assumptions)
         assert model is not None
         encoder.decode_model(inst, model)  # the model itself is consistent
         corrupt = list(model)
@@ -491,15 +460,16 @@ class TestSolveIterative:
     def test_fixed_past_the_last_execution(self):
         # a move, then a match that strands the third block: no execution
         # has three steps.  The block at (3, 5) has no partner but a block
-        # at (2, 5), so loading refutes the grown formula, and it stays
-        # unsatisfiable at every later horizon
+        # at (2, 5), so loading refutes the formula at step 0 and the route
+        # asks nothing, although fresh formulas stay unsatisfiable at every
+        # horizon
         level = make_grid("######", "#.1#.#", "#1##1#", "######")
-        backend = _Recording()
+        backend = Recording()
         result = encoder.solve_iterative(level, mode="fixed", bound=6, backend=backend)
         assert isinstance(result.outcome, planner.ProvedUnsolvable)
-        assert backend.verdicts == [(n, False) for n in range(1, 7)]
+        assert backend.verdicts == []
         for n in range(1, 7):
-            assert InternalBackend()(encoder.encode_fixed(level, n)) is None
+            assert solve(encoder.encode_fixed(level, n)) is None
 
     # the last level clears its four blocks with two moves and one match
     # step, fewer than its two possible ones: a bound one move too loose
@@ -516,11 +486,11 @@ class TestSolveIterative:
         # one ministep per bound, so the first satisfiable bound is the
         # optimum and no bound is asked twice
         level = corpus[name].grid if isinstance(name, str) else make_grid(*name)
-        backend = _Recording()
+        cap = encoder.max_match_steps(level)
+        backend = Recording(cap)
         result = encoder.solve_iterative(level, mode="varmoves", bound=100, backend=backend)
         assert result.outcome.plan.cost == optimum
         assert backend.bounds == list(range(1, optimum + 1))
-        cap = encoder.max_match_steps(level)
         assert [h for h, _ in backend.verdicts] == [m + cap for m in backend.bounds]
         assert [sat for _, sat in backend.verdicts] == [False] * (optimum - 1) + [True]
 
@@ -538,7 +508,7 @@ class TestSolveIterative:
             assert (model is not None) == (flags.count(False) >= k), flags
 
     def test_varmoves_bound_zero_asks_nothing(self, corpus):
-        backend = _Recording()
+        backend = Recording()
         result = encoder.solve_iterative(
             corpus["5x3-desk-corridor"].grid, mode="varmoves", bound=0, backend=backend
         )
@@ -547,14 +517,23 @@ class TestSolveIterative:
         assert backend.verdicts == []
 
     @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
-    @pytest.mark.parametrize("name", ["4x3-desk-singleton", "6x3-desk-sealed"])
+    @pytest.mark.parametrize("name", ["4x3-desk-singleton", "6x3-desk-sealed", "walled-in"])
     def test_stranded_block_refuted_while_loading(self, corpus, name, mode):
-        # the partner clauses at step 0 conflict with the initial units
-        backend = InternalBackend()
-        result = encoder.solve_iterative(corpus[name].grid, mode=mode, bound=100, backend=backend)
-        assert isinstance(result.outcome, planner.ProvedUnsolvable)
+        # the partner clauses at step 0 conflict with the initial units, so
+        # the route stops there and asks no horizon
+        if name == "walled-in":
+            base, row, walled = WALLED_IN
+            text = (LEVELS_DIR / f"{base}.txt").read_text()
+            level = levels.parse_level(text.replace(row, walled)).grid
+        else:
+            level = corpus[name].grid
+        backend = Recording()
+        result = encoder.solve_iterative(level, mode=mode, bound=100, backend=backend)
+        assert result.outcome == planner.ProvedUnsolvable(100)
         assert not backend._solver.ok
         assert backend._solver.conflicts == 0
+        assert backend.verdicts == []
+        assert backend.adds == 1  # step 0 alone
 
     def test_deadline_between_bounds_encodes_no_further_step(self, corpus, monkeypatch):
         # the budget runs out while bound 1 is solved: the route stops
@@ -569,15 +548,16 @@ class TestSolveIterative:
             return add_step(enc, *args)
 
         monkeypatch.setattr(encoder._Encoder, "add_step", counting)
-        inner = _Recording()
 
-        def slow(instance, assumptions=(), deadline=None):
-            clock[0] += 10.0
-            return inner(instance, assumptions)
+        class Slow(Recording):
+            def answer(self, assumptions, deadline):
+                clock[0] += 10.0
+                return super().answer(assumptions, None)
 
         level = corpus["8x8-desk-big"].grid
+        inner = Slow(encoder.max_match_steps(level))
         result = encoder.solve_iterative(
-            level, mode="varmoves", bound=100, backend=slow, time_limit=5.0
+            level, mode="varmoves", bound=100, backend=inner, time_limit=5.0
         )
         assert isinstance(result.outcome, planner.BudgetExhausted)
         assert inner.bounds == [1]
@@ -585,10 +565,10 @@ class TestSolveIterative:
 
     def test_fixed_counts_each_clause_once(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
-        backend = _Recording()
+        backend = Recording()
         result = encoder.solve_iterative(level, mode="fixed", bound=6, backend=backend)
         assert [h for h, _ in backend.verdicts] == [1, 2]
-        assert result.stats.generated == len(backend._loaded)
+        assert result.stats.generated == len(backend.clauses)
 
 
 class TestIncrementalHorizons:
@@ -612,23 +592,61 @@ class TestIncrementalHorizons:
             )
             if not engine.is_goal(level) and (optimum is not None) == solvable:
                 break
-        backend = _Recording()
+        backend = Recording()
         result = encoder.solve_iterative(
             level, mode="fixed", bound=self.BOUND, backend=backend
         )
         for n, sat in backend.verdicts:
-            fresh = InternalBackend()(encoder.encode_fixed(level, n))
+            fresh = solve(encoder.encode_fixed(level, n))
             assert sat == (fresh is not None), n
         if engine.is_goal(level):
             assert backend.verdicts == []
         elif optimum is None:
             assert isinstance(result.outcome, planner.ProvedUnsolvable)
-            assert backend.verdicts == [(n, False) for n in range(1, self.BOUND + 1)]
+            # every horizon, or fewer once loading refutes the clauses
+            asked = len(backend.verdicts)
+            assert backend.verdicts == [(n, False) for n in range(1, asked + 1)]
+            assert asked == self.BOUND or not backend._solver.ok
         else:
             assert isinstance(result.outcome, planner.Solved)
             trace = result.outcome.trace
             assert trace.move_count + trace.match_count == optimum
             assert backend.verdicts == [(n, n == optimum) for n in range(1, optimum + 1)]
+
+
+class TestEarlyStop:
+    BOUND = 3
+
+    def test_refutations_agree_with_bfs(self):
+        # a ProvedUnsolvable from the route is never wrong, and when the
+        # clauses were refuted before the last bound there is no plan at all
+        stops = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from(["fixed", "varmoves"]),
+        )
+        def check(seed, mode):
+            state = oracles.random_quiescent(random.Random(seed), max_h=5, max_w=5, n_patterns=2)
+            backend = Recording()
+            result = encoder.solve_iterative(
+                state.grid, mode=mode, bound=self.BOUND, backend=backend
+            )
+            if not isinstance(result.outcome, planner.ProvedUnsolvable):
+                return
+            if mode == "varmoves":
+                assert oracles.bfs_optimal_moves(state, cap=self.BOUND) is None
+            else:
+                for n in range(1, self.BOUND + 1):
+                    assert not oracles.exact_step_sequence_exists(state.grid, n), n
+            if len(backend.verdicts) < self.BOUND:
+                stops.append(seed)
+                assert not backend._solver.ok
+                assert oracles.bfs_optimal_moves(state) is None
+
+        check()
+        assert stops
 
 
 class TestVarmovesDifferential:
@@ -661,62 +679,84 @@ class TestVarmovesDifferential:
             optimum = oracles.bfs_optimal_moves(state, cap=self.BOUND)
             if not engine.is_goal(state.grid) and (optimum is not None) == solvable:
                 break
-        backend = _Recording()
+        backend = Recording(encoder.max_match_steps(state.grid))
         encoder.solve_iterative(state.grid, mode="varmoves", bound=self.BOUND, backend=backend)
         for m, (_, sat) in zip(backend.bounds, backend.verdicts):
-            fresh = InternalBackend()(encoder.encode_varmoves(state.grid, m))
+            fresh = solve(encoder.encode_varmoves(state.grid, m))
             assert sat == (fresh is not None), m
         if not engine.is_goal(state.grid):
             last = self.BOUND if optimum is None else optimum
+            if optimum is None and not backend._solver.ok:
+                last = len(backend.bounds)  # loading refuted the clauses
             assert backend.bounds == list(range(1, last + 1))
 
 
-class TestInternalBackendReuse:
-    def test_reuses_only_a_checked_extension(self):
-        vm = VarMap([("matching", 1), ("matching", 2)])
-        first = CnfInstance(2, ((1, 2),), vm, {})
-        grown = CnfInstance(2, ((1, 2), (-1,)), vm, {})
-        # same VarMap and longer, but not an extension of `grown`: loading
-        # only its third clause would make it unsatisfiable
-        other = CnfInstance(2, ((1, -2), (-2,), (1,)), vm, {})
-        backend = InternalBackend()
-        assert backend(first) is not None
-        solver = backend._solver
-        model = backend(grown)
-        assert backend._solver is solver
-        assert model is not None and model[2] and not model[1]
-        model = backend(other)
-        assert backend._solver is not solver
-        assert model is not None and model[1] and not model[2]
+class TestInternalBackendSession:
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    def test_each_clause_reaches_the_solver_once(self, corpus, monkeypatch, mode):
+        # what the solver loads is what the route gave, once and in order
+        loaded: list = []
+        add_clauses = CdclSolver.add_clauses
+
+        def recording(solver, clauses):
+            loaded.extend(clauses)
+            return add_clauses(solver, clauses)
+
+        monkeypatch.setattr(CdclSolver, "add_clauses", recording)
+        backend = Recording()
+        level = corpus["8x4-desk-twopat"].grid
+        result = encoder.solve_iterative(level, mode=mode, bound=100, backend=backend)
+        assert isinstance(result.outcome, planner.Solved)
+        assert loaded == backend.clauses
+        assert len(loaded) == result.stats.generated
+
+    def test_hints_raise_only_new_variables(self):
+        session = InternalBackend()
+        assert session.add([(1, 2)], 2, hints=(2,))
+        activity = session._solver.activity
+        assert activity == [0.0, 0.0, 1.0]
+        activity[2] = 5.0  # as if bumped by a search
+        assert session.add([(-1, 3)], 3, hints=(1, 2, 3))
+        assert activity == [0.0, 0.0, 5.0, 1.0]
+
+    def test_refuted_session_stays_refuted(self):
+        session = InternalBackend()
+        assert session.add([(1, 2)], 2)
+        assert session() is not None
+        assert not session.add([(-1,), (-2,)], 2)
+        assert session() is None
+        assert not session.add([(3,)], 3)
+        assert session() is None
+        assert session((3,)) is None
 
 
 class TestExternalBackendContract:
-    def test_stub_solver_round_trip(self, corpus):
+    def test_stub_solver_round_trip(self, corpus, stub_external):
         level = corpus["5x3-desk-corridor"].grid
-        backend = _StubExternal()
+        backend = stub_external()
         result = encoder.solve_iterative(
             level, mode="varmoves", bound=4, backend=backend
         )
         assert isinstance(result.outcome, planner.Solved)
         assert result.outcome.plan.cost == 1
 
-    def test_stub_solver_fixed_horizons(self, corpus):
+    def test_stub_solver_fixed_horizons(self, corpus, stub_external):
         # each horizon reaches the external solver as the cumulative formula
         # with the horizon's goal literal appended as a unit clause
         level = corpus["5x3-desk-corridor"].grid
         result = encoder.solve_iterative(
-            level, mode="fixed", bound=4, backend=_StubExternal()
+            level, mode="fixed", bound=4, backend=stub_external()
         )
         assert isinstance(result.outcome, planner.Solved)
         trace = result.outcome.trace
         assert trace.move_count + trace.match_count == 2
 
-    def test_stub_solver_unsat(self, corpus):
+    def test_stub_solver_unsat(self, corpus, stub_external):
         inst = encoder.encode_varmoves(corpus["5x3-desk-corridor"].grid, 0)
-        assert _StubExternal()(inst) is None
+        assert solve(inst, session=stub_external()) is None
 
     def test_missing_executable_raises(self, corpus):
         inst = encoder.encode_varmoves(corpus["5x3-desk-corridor"].grid, 1)
         backend = ExternalBackend("/nonexistent/solver-binary")
         with pytest.raises(BackendFailure):
-            backend(inst)
+            solve(inst, session=backend)

@@ -14,7 +14,6 @@ built once per level and validates nothing per state.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,8 +50,9 @@ def _check_cell(value: int) -> None:
 class Grid:
     """Board state: row-major cells, 1-based (row 1 at the top).
 
-    Construction enforces the structural invariants: rectangular, dimensions
-    within 3..32, and a complete wall perimeter.
+    The constructor enforces the structural invariants: rectangular,
+    dimensions within 3..32, and a complete wall perimeter.  Grids derived
+    from a valid one by the rules are not checked again in full.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -94,12 +94,26 @@ class Grid:
             for c in range(2, self.width):
                 yield r, c
 
-    def replace(self, updates: dict[tuple[int, int], int]) -> "Grid":
-        """New grid with the given 1-based cells replaced."""
+    @classmethod
+    def _trusted(cls, cells: tuple[tuple[int, ...], ...]) -> Grid:
+        """A grid for cells derived from a valid grid: not checked again."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "cells", cells)
+        return grid
+
+    def replace(self, updates: dict[tuple[int, int], int]) -> Grid:
+        """New grid with the given 1-based cells replaced; only those are
+        checked (in the grid, a legal value, the perimeter kept a wall)."""
+        h, w = self.height, self.width
         rows = [list(row) for row in self.cells]
         for (r, c), v in updates.items():
+            if not (1 <= r <= h and 1 <= c <= w):
+                raise ValueError(f"cell ({r}, {c}) outside the {h}x{w} grid")
+            _check_cell(v)
+            if v != WALL and (r in (1, h) or c in (1, w)):
+                raise ValueError(f"missing wall perimeter at ({r}, {c})")
             rows[r - 1][c - 1] = v
-        return Grid(tuple(tuple(row) for row in rows))
+        return Grid._trusted(tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -212,7 +226,7 @@ def settle(grid: Grid) -> tuple[Grid, bool]:
             seg_start = r
     if not fell:
         return grid, False
-    return Grid(tuple(tuple(row) for row in rows)), True
+    return Grid._trusted(tuple(tuple(row) for row in rows)), True
 
 
 _NEIGHBOURS = ((-1, 0), (1, 0), (0, 1), (0, -1))
@@ -389,8 +403,9 @@ def state_key(grid: Grid) -> bytes:
     """Deterministic 128-bit digest of a grid, stable across processes.
 
     Tests and the benchmark corpus generator key grids on it; search keys
-    states on `Board` mask tuples instead.
+    states on `Board` mask tuples instead, so `hashlib` loads on first use.
     """
+    import hashlib
     h = hashlib.blake2b(digest_size=16)
     h.update(bytes((grid.height, grid.width)))
     for row in grid.cells:
@@ -425,12 +440,12 @@ class Board:
                     patterns.add(v)
         self.patterns = tuple(sorted(patterns))
         self._open = ((1 << (h * w)) - 1) & ~self.walls
-        # One Move per open cell and direction, so search allocates none.
-        self._moves = {
-            (r - 1) * w + (c - 1): (Move(r, c, LEFT), Move(r, c, RIGHT))
-            for r, c in grid.interior()
-            if grid.at(r, c) != WALL
-        }
+        # (move, target bit) left then right per open cell: search makes no Move.
+        self._moves = {}
+        for r, c in grid.interior():
+            if grid.at(r, c) != WALL:
+                i = (r - 1) * w + (c - 1)
+                self._moves[i] = ((Move(r, c, LEFT), 1 << i - 1), (Move(r, c, RIGHT), 1 << i + 1))
 
     def encode(self, grid: Grid) -> tuple[int, ...]:
         """The mask tuple of a grid with this board's walls and patterns."""
@@ -455,7 +470,7 @@ class Board:
                 r, c = divmod(low.bit_length() - 1, w)
                 cells[r][c] = pid
                 m ^= low
-        return Grid(tuple(tuple(row) for row in cells))
+        return Grid._trusted(tuple(tuple(row) for row in cells))
 
     def resolve(self, masks: list[int]) -> tuple[int, ...]:
         """Cascade fixpoint on masks: gravity to rest, remove matches, repeat.
@@ -493,29 +508,41 @@ class Board:
             blocks ^= matched
 
     def successors(self, masks: tuple[int, ...]) -> Iterator[tuple[Move, tuple[int, ...]]]:
-        """(move, resolved child masks) for each legal move, in `legal_moves` order."""
+        """(move, resolved child masks) for each legal move, in `legal_moves` order.
+
+        `masks` must be quiescent, as all from `encode` of a `QuiescentState`
+        grid or from `successors` are: no block sits above an empty cell and
+        no match is pending.  So if no block rests on the mover, nothing else
+        falls, the mover drops to the first wall or block below its target,
+        and only it can match: the child skips `resolve` unless it lands
+        beside a block of its own pattern.
+        """
+        w = self.width
         blocks = 0
         for m in masks:
             blocks |= m
+        stop = self.walls | blocks
         free = self._open & ~blocks
-        left = blocks & free << 1
-        right = blocks & free >> 1
-        movers = left | right
+        movers = blocks & (free << 1 | free >> 1)
         while movers:
             low = movers & -movers
             movers ^= low
             k = 0
             while not masks[k] & low:
                 k += 1
-            to_left, to_right = self._moves[low.bit_length() - 1]
-            if left & low:
+            loaded = blocks & low >> w
+            rest = masks[k] ^ low
+            for move, to in self._moves[low.bit_length() - 1]:
+                if not free & to:
+                    continue
+                while not (loaded or stop & to << w):
+                    to <<= w
                 child = list(masks)
-                child[k] ^= low | low >> 1
-                yield to_left, self.resolve(child)
-            if right & low:
-                child = list(masks)
-                child[k] ^= low | low << 1
-                yield to_right, self.resolve(child)
+                child[k] = rest | to
+                if loaded or rest & (to << 1 | to >> 1 | to << w | to >> w):
+                    yield move, self.resolve(child)
+                else:
+                    yield move, tuple(child)
 
     @staticmethod
     def is_goal(masks: tuple[int, ...]) -> bool:

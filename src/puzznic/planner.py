@@ -19,7 +19,6 @@ prunes only cycles on its path.  All three prune duplicates and dead ends
 
 from __future__ import annotations
 
-import heapq
 import time
 from functools import partial
 from dataclasses import dataclass, field
@@ -188,7 +187,7 @@ def _path(parents: dict, key: tuple) -> list[Move]:
     return moves
 
 
-def _best_first(board, root, max_moves, stats, budget, heuristic):
+def _best_first(board, root, max_moves, stats, budget, heuristic=None):
     """Best-first search on f = g + max(h, 1) from a root that is not the
     goal, with the goal tested when a child is generated.
 
@@ -198,51 +197,78 @@ def _best_first(board, root, max_moves, stats, budget, heuristic):
     found, so every popped f is at most the optimum.  A popped entry is
     never the goal and has f >= g + 1, so a goal child of it costs
     g + 1 <= f <= the optimum: the loop returns the first goal child it
-    generates, and never pushes a goal.  With h = 0 states pop in
-    breadth-first order.  Among equal f the deepest entry pops first, then
-    the newest: diving along the latest ties reaches a goal child sooner.
+    generates, and never pushes a goal.  bfs passes no `heuristic`: h = 0,
+    and states pop in breadth-first order.
+
+    The frontier is a bucket queue: `open_` maps the key f * K - g, with
+    K = max_moves + 1 > g, to a stack of states, and `lo` is its lowest key.
+    So the lowest f pops first, then the deepest g, then the newest state:
+    the order of a heap on (f, -g, a push count that runs down), with no
+    comparisons.  Diving along the latest ties reaches a goal child sooner.
 
     `parents` maps each state reached to (best g, parent, move).  A popped
     entry above its state's best g is stale and skipped, so plans stay
     optimal even under an inconsistent h.  Children whose g + h exceeds
-    `max_moves` are cut.
+    `max_moves` are cut.  The counters run in locals and are added to
+    `stats` on the way out, a timeout included.
     """
-    h0 = heuristic(board, root)
+    h0 = heuristic(board, root) if heuristic else 0
     if h0 > max_moves:
         stats.pruned_bound += 1
         return None
+    successors, is_goal, is_dead_end = board.successors, board.is_goal, board.is_dead_end
     parents: dict[tuple, tuple] = {root: (0, None, None)}
-    seq = 0  # counts down, so the newest of equal (f, g) pops first
-    heap: list[tuple[float, int, int, tuple]] = [(max(h0, 1), 0, seq, root)]
-    while heap:
-        stats.max_frontier = max(stats.max_frontier, len(heap))
-        _, neg_g, _, node = heapq.heappop(heap)
-        if budget.exceeded():
-            raise _Timeout
-        g = -neg_g
-        if g > parents[node][0] or g >= max_moves:
-            continue
-        stats.expanded += 1
-        ng = g + 1
-        for move, child in board.successors(node):
-            stats.generated += 1
-            if board.is_goal(child):
-                return _path(parents, node) + [move]
-            best = parents.get(child)
-            if best is not None and ng >= best[0]:
-                stats.duplicates += 1
+    K = max_moves + 1
+    lo = max(h0, 1) * K
+    open_: dict[int, list[tuple]] = {lo: [root]}
+    size = 1
+    expanded = generated = duplicates = dead_ends = pruned = max_frontier = 0
+    try:
+        while open_:
+            if size > max_frontier:
+                max_frontier = size
+            g = -lo % K
+            stack = open_[lo]
+            node = stack.pop()
+            size -= 1
+            if not stack:
+                del open_[lo]
+                lo = min(open_, default=float("inf"))
+            if budget.exceeded():
+                raise _Timeout
+            if g > parents[node][0] or g >= max_moves:
                 continue
-            if board.is_dead_end(child):
-                stats.dead_ends += 1
-                continue
-            h = heuristic(board, child)
-            if ng + h > max_moves:
-                stats.pruned_bound += 1
-                continue
-            parents[child] = (ng, node, move)
-            seq -= 1
-            heapq.heappush(heap, (ng + max(h, 1), -ng, seq, child))
-    return None
+            expanded += 1
+            ng = g + 1
+            for move, child in successors(node):
+                generated += 1
+                if is_goal(child):
+                    return _path(parents, node) + [move]
+                best = parents.get(child)
+                if best is not None and ng >= best[0]:
+                    duplicates += 1
+                    continue
+                if is_dead_end(child):
+                    dead_ends += 1
+                    continue
+                h = heuristic(board, child) if heuristic else 0
+                if ng + h > max_moves:
+                    pruned += 1
+                    continue
+                key = (ng + max(h, 1)) * K - ng
+                parents[child] = (ng, node, move)
+                open_.setdefault(key, []).append(child)
+                size += 1
+                if key < lo:
+                    lo = key
+        return None
+    finally:
+        stats.expanded += expanded
+        stats.generated += generated
+        stats.duplicates += duplicates
+        stats.dead_ends += dead_ends
+        stats.pruned_bound += pruned
+        stats.max_frontier = max(stats.max_frontier, max_frontier)
 
 
 def _solve_iddfs(board, root, max_moves, stats, budget):
@@ -279,12 +305,8 @@ def _solve_iddfs(board, root, max_moves, stats, budget):
     return None
 
 
-def _no_estimate(board, masks) -> int:
-    return 0
-
-
 _SEARCHES = {
-    "bfs": partial(_best_first, heuristic=_no_estimate),
+    "bfs": _best_first,
     "astar": partial(_best_first, heuristic=engine.Board.column_gap),
     "iddfs": _solve_iddfs,
 }

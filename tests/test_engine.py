@@ -11,6 +11,7 @@ from puzznic import engine, planner
 from puzznic.engine import (
     EMPTY,
     LEFT,
+    MAX_PATTERN,
     RIGHT,
     WALL,
     Grid,
@@ -50,6 +51,24 @@ class TestGrid:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             Grid(((WALL, WALL), (WALL, WALL)))
+
+    def test_replace_rejects_bad_value(self):
+        with pytest.raises(ValueError, match="bad cell value"):
+            empty_grid(4, 4).replace({(2, 2): MAX_PATTERN + 1})
+
+    @pytest.mark.parametrize("cell", [(0, 2), (2, 0), (5, 2), (2, 5)])
+    def test_replace_rejects_cell_outside_grid(self, cell):
+        with pytest.raises(ValueError, match="outside"):
+            empty_grid(4, 4).replace({cell: 1})
+
+    @pytest.mark.parametrize("cell", [(1, 2), (4, 3), (2, 1), (3, 4)])
+    def test_replace_rejects_hole_in_perimeter(self, cell):
+        with pytest.raises(ValueError, match="perimeter"):
+            empty_grid(4, 4).replace({cell: EMPTY})
+
+    def test_replace_writes_only_the_given_cells(self):
+        g = empty_grid(4, 4).replace({(3, 2): 1, (2, 3): WALL})
+        assert g == make_grid("####", "#.##", "#1.#", "####")
 
     def test_at_is_one_based(self):
         g = make_grid("###", "#.#", "###")
@@ -390,18 +409,29 @@ class TestBoard:
         state, _, _ = engine.resolve(g)
         assert board.decode(board.resolve(list(masks))) == state.grid
 
-    @settings(max_examples=80, deadline=None)
-    @given(grids())
-    def test_successors_match_apply_move(self, g):
-        state, _, _ = engine.resolve(g)
+    @staticmethod
+    def successors_with_resolve_calls(state):
+        """`Board.successors` of a state checked against `apply_move`, as
+        (move, whether the child went through `Board.resolve`)."""
         board = engine.Board(state.grid)
         masks = board.encode(state.grid)
         assert board.is_goal(masks) == engine.is_goal(state.grid)
         assert board.is_dead_end(masks) == engine.is_dead_end(state.grid)
-        successors = list(board.successors(masks))
-        assert [move for move, _ in successors] == list(engine.legal_moves(state))
+        calls = []
+        resolve = board.resolve
+
+        def counted_resolve(child):
+            calls.append(child)
+            return resolve(child)
+
+        board.resolve = counted_resolve
+        successors = []
+        for move, child in board.successors(masks):
+            successors.append((move, child, bool(calls)))
+            calls.clear()
+        assert [move for move, _, _ in successors] == list(engine.legal_moves(state))
         keyed = []
-        for move, child in successors:
+        for move, child, _ in successors:
             expected, _, _ = engine.apply_move(state, move)
             assert board.decode(child) == expected.grid
             assert board.encode(expected.grid) == child
@@ -411,6 +441,55 @@ class TestBoard:
         for a, key_a in keyed:
             for b, key_b in keyed:
                 assert (a == b) == (key_a == key_b)
+        return [(move, resolved) for move, _, resolved in successors]
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    def test_successors_match_apply_move(self, g):
+        state, _, _ = engine.resolve(g)
+        self.successors_with_resolve_calls(state)
+
+    # Quiescent grids with a move down each branch of `successors`, whether
+    # that move's child goes through `Board.resolve`, and its match count.
+    LANDINGS = {
+        "drops several rows": (
+            ("#######", "#.1...#", "#.2...#", "#.3...#", "#.4...#", "#######"),
+            Move(2, 3, RIGHT),
+            False,
+            0,
+        ),
+        "lands on a wall": (
+            ("#######", "#..1..#", "#..2#.#", "#..3..#", "#######"),
+            Move(2, 4, RIGHT),
+            False,
+            0,
+        ),
+        "carries a block": (
+            ("#######", "#..1..#", "#..2#.#", "#..3..#", "#######"),
+            Move(4, 4, RIGHT),
+            True,
+            0,
+        ),
+        "matches and cascades": (
+            ("#######", "#.....#", "#..2..#", "#.21.1#", "#######"),
+            Move(4, 6, LEFT),
+            True,
+            2,
+        ),
+        "beside an interior wall": (
+            ("########", "#...#..#", "#..1#..#", "#..2...#", "#..3...#", "########"),
+            Move(3, 4, LEFT),
+            False,
+            0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LANDINGS))
+    def test_successors_match_apply_move_on_each_landing(self, case):
+        rows, move, resolved, matches = self.LANDINGS[case]
+        state = QuiescentState(make_grid(*rows))
+        assert (move, resolved) in self.successors_with_resolve_calls(state)
+        assert engine.apply_move(state, move)[2] == matches
 
     @settings(max_examples=80, deadline=None)
     @given(grids(max_h=12, max_w=12))

@@ -19,37 +19,187 @@ ALGOS = ("bfs", "astar", "iddfs")
 # The seeded hard corpus of the benchmark and its recorded optima.
 HARD_CORPUS = pathlib.Path(__file__).parent.parent / "benchmarks" / "corpus"
 
-# The first level of the hard benchmark corpus (optimum 8 moves).
-HARD0 = """\
-########
-#.#....#
-#..G...#
-#.##...#
-#......#
-#G.R..Y#
-#O.OY.G#
-#R.RG.R#
-########
-"""
-
-# Plans and counters the search must reproduce exactly: a change to the
-# successor order, the duplicate rule or the pruning shows up here.
+# Plans and counters the search must reproduce exactly, on a13 and on every
+# level of the hard corpus: a change to the successor order, the frontier's
+# pop order, the duplicate rule or the pruning shows up here.
+# (level, algo) -> (plan, counters in the order of COUNTERS)
+COUNTERS = ("expanded", "generated", "duplicates", "dead_ends", "pruned_bound", "max_frontier")
 PINNED = {
-    ("hard0", "astar"): (
-        "6 4 R\n8 2 R\n8 2 R\n6 5 R\n8 5 R\n3 4 L\n3 3 L\n8 5 R\n",
-        dict(expanded=882, generated=6376, duplicates=3520, dead_ends=71, max_frontier=1869),
-    ),
-    ("hard0", "bfs"): (
-        "7 7 L\n7 7 L\n8 7 L\n8 2 R\n3 4 L\n3 3 L\n8 6 L\n8 2 R\n",
-        dict(expanded=7357, generated=45050, duplicates=33115, dead_ends=490, max_frontier=4095),
-    ),
     ("5x7-ps1-a13", "astar"): (
-        "3 2 R\n3 2 R\n2 4 L\n3 4 L\n",
-        dict(expanded=34, generated=137, duplicates=40, dead_ends=0, max_frontier=64),
+        "3 2 R, 3 2 R, 2 4 L, 3 4 L",
+        (34, 137, 40, 0, 0, 64),
     ),
     ("5x7-ps1-a13", "bfs"): (
-        "3 4 L\n3 2 R\n3 4 L\n3 2 R\n",
-        dict(expanded=52, generated=227, duplicates=100, dead_ends=0, max_frontier=76),
+        "3 4 L, 3 2 R, 3 4 L, 3 2 R",
+        (52, 227, 100, 0, 0, 76),
+    ),
+    ("hard0", "astar"): (
+        "6 4 R, 8 2 R, 8 2 R, 6 5 R, 8 5 R, 3 4 L, 3 3 L, 8 5 R",
+        (882, 6376, 3520, 71, 0, 1869),
+    ),
+    ("hard0", "bfs"): (
+        "7 7 L, 7 7 L, 8 7 L, 8 2 R, 3 4 L, 3 3 L, 8 6 L, 8 2 R",
+        (7357, 45050, 33115, 490, 0, 4095),
+    ),
+    ("r7-01", "astar"): (
+        "7 4 R, 4 5 L, 7 3 R, 8 6 L, 7 2 R, 7 3 R, 5 5 L",
+        (58, 308, 104, 0, 0, 146),
+    ),
+    ("r7-01", "bfs"): (
+        "7 4 R, 4 5 L, 5 5 L, 7 2 R, 8 3 R, 8 3 R, 8 4 R",
+        (653, 3071, 2038, 2, 0, 382),
+    ),
+    ("r7-02", "astar"): (
+        "5 5 L, 5 4 L, 5 5 L, 5 4 L, 5 2 R, 6 2 R",
+        (52, 265, 101, 0, 0, 113),
+    ),
+    ("r7-02", "bfs"): (
+        "5 5 L, 5 4 L, 6 2 R, 5 5 L, 6 2 R, 5 4 L",
+        (217, 1095, 746, 0, 0, 134),
+    ),
+    ("r7-03", "astar"): (
+        "2 3 L, 4 2 R, 5 4 L, 5 4 L, 7 3 R",
+        (113, 814, 372, 0, 0, 329),
+    ),
+    ("r7-03", "bfs"): (
+        "2 3 L, 4 2 R, 5 4 L, 5 4 L, 7 3 R",
+        (217, 1642, 992, 0, 0, 433),
+    ),
+    ("r7-04", "astar"): (
+        "7 6 R, 7 8 L, 7 6 L, 7 7 L, 7 3 R, 7 6 L, 7 5 L, 7 2 R",
+        (8, 29, 9, 0, 0, 13),
+    ),
+    ("r7-04", "bfs"): (
+        "7 6 R, 7 8 L, 7 6 L, 7 7 L, 7 3 R, 7 6 L, 7 5 L, 7 2 R",
+        (149, 574, 402, 0, 0, 42),
+    ),
+    ("r7-05", "astar"): (
+        "3 3 L, 3 4 L, 7 3 R, 6 5 L, 4 4 R, 5 2 R, 3 3 L",
+        (231, 1176, 511, 210, 0, 225),
+    ),
+    ("r7-05", "bfs"): (
+        "3 3 L, 3 4 L, 7 3 R, 4 4 R, 6 5 L, 5 2 R, 3 3 L",
+        (337, 1625, 851, 286, 0, 179),
+    ),
+    ("r7-06", "astar"): (
+        "2 2 R, 7 4 L, 5 5 L, 7 7 R, 6 4 R, 7 4 R",
+        (69, 511, 211, 15, 0, 214),
+    ),
+    ("r7-06", "bfs"): (
+        "7 7 R, 7 6 R, 7 5 R, 7 4 R, 2 2 R, 7 5 R",
+        (541, 3939, 2352, 232, 0, 815),
+    ),
+    ("r7-07", "astar"): (
+        "7 5 L, 4 2 R, 3 6 L, 6 3 R, 7 3 R, 7 5 L, 4 2 R",
+        (103, 663, 137, 271, 0, 153),
+    ),
+    ("r7-07", "bfs"): (
+        "7 5 L, 4 2 R, 6 3 R, 7 3 R, 3 6 L, 7 5 L, 4 2 R",
+        (427, 2501, 1086, 789, 0, 212),
+    ),
+    ("r7-08", "astar"): (
+        "2 6 L, 7 2 R, 5 6 L, 6 5 L, 8 3 R, 7 2 R, 8 3 R, 7 5 L, 8 2 R, 9 2 R",
+        (82, 248, 120, 38, 0, 16),
+    ),
+    ("r7-08", "bfs"): (
+        "7 2 R, 5 6 L, 7 3 R, 8 3 R, 7 2 R, 8 3 R, 2 6 L, 7 5 L, 8 2 R, 9 2 R",
+        (97, 298, 147, 49, 0, 21),
+    ),
+    ("r7-09", "astar"): (
+        "5 7 L, 5 7 L, 6 6 L, 3 8 L, 6 3 R",
+        (19, 107, 29, 0, 0, 59),
+    ),
+    ("r7-09", "bfs"): (
+        "5 7 L, 5 7 L, 6 6 L, 3 8 L, 6 3 R",
+        (148, 791, 516, 0, 0, 128),
+    ),
+    ("r7-10", "astar"): (
+        "4 5 L, 2 7 L, 2 2 R, 6 6 R, 8 2 R",
+        (291, 2755, 1525, 6, 0, 935),
+    ),
+    ("r7-10", "bfs"): (
+        "4 5 L, 2 2 R, 6 6 R, 2 7 L, 8 2 R",
+        (580, 5585, 3759, 6, 0, 1241),
+    ),
+    ("r7-11", "astar"): (
+        "3 2 R, 8 2 R, 5 6 L, 5 5 L, 5 6 L, 4 2 R, 5 5 L",
+        (199, 1118, 425, 118, 0, 375),
+    ),
+    ("r7-11", "bfs"): (
+        "3 2 R, 8 2 R, 5 6 L, 5 5 L, 5 6 L, 4 2 R, 5 5 L",
+        (610, 3604, 2107, 349, 0, 544),
+    ),
+    ("r7-12", "astar"): (
+        "6 7 L, 6 6 L, 6 5 L, 4 3 R, 6 4 R, 6 5 R, 6 6 R, 3 2 R, 4 3 R",
+        (82, 371, 202, 0, 0, 88),
+    ),
+    ("r7-12", "bfs"): (
+        "6 7 L, 6 6 L, 6 5 L, 4 3 R, 6 4 R, 6 5 R, 3 2 R, 4 3 R, 6 6 R",
+        (629, 2989, 2082, 0, 0, 282),
+    ),
+    ("r7-13", "astar"): (
+        "4 8 L, 4 9 L, 4 7 L, 4 8 L, 4 4 R, 4 7 L, 4 6 L, 4 3 R, 2 7 R",
+        (16, 88, 28, 0, 0, 45),
+    ),
+    ("r7-13", "bfs"): (
+        "4 4 R, 4 5 R, 4 3 R, 4 4 R, 2 7 R, 4 6 R, 4 5 R, 4 9 L, 4 6 R",
+        (203, 1015, 763, 0, 0, 57),
+    ),
+    ("r7-14", "astar"): (
+        "3 4 L, 7 4 L, 5 2 R, 8 3 L, 8 5 L, 6 2 R, 4 4 R",
+        (233, 1221, 503, 311, 0, 173),
+    ),
+    ("r7-14", "bfs"): (
+        "3 4 L, 7 4 L, 7 5 L, 5 2 R, 6 2 R, 6 3 R, 4 4 L",
+        (312, 1633, 769, 420, 0, 159),
+    ),
+    ("r7-15", "astar"): (
+        "4 4 L, 2 2 R, 3 2 R, 6 2 R, 5 5 L, 5 5 L",
+        (56, 280, 80, 6, 0, 138),
+    ),
+    ("r7-15", "bfs"): (
+        "5 3 L, 3 2 R, 5 2 R, 5 5 L, 5 4 L, 3 2 R",
+        (357, 2071, 1206, 51, 0, 459),
+    ),
+    ("r7-16", "astar"): (
+        "7 3 R, 7 3 R, 7 4 R, 7 6 L, 8 6 L, 8 3 R, 8 2 R, 8 3 R, 8 7 L, 4 6 L",
+        (140, 668, 249, 122, 0, 157),
+    ),
+    ("r7-16", "bfs"): (
+        "7 3 R, 7 3 R, 7 4 R, 7 6 L, 8 3 R, 8 2 R, 8 4 R, 8 3 R, 8 7 L, 4 6 L",
+        (540, 2315, 1256, 462, 0, 116),
+    ),
+    ("r7-17", "astar"): (
+        "5 2 R, 6 4 R, 3 6 L, 5 5 L, 5 4 L, 7 5 L, 7 2 R",
+        (319, 1402, 533, 293, 0, 254),
+    ),
+    ("r7-17", "bfs"): (
+        "5 4 R, 5 2 R, 3 6 L, 5 5 L, 5 4 L, 7 5 L, 7 2 R",
+        (737, 3243, 1663, 632, 0, 282),
+    ),
+    ("r7-18", "astar"): (
+        "6 5 L, 3 3 L, 3 3 L, 5 2 R, 6 2 R, 6 3 R, 2 4 R",
+        (82, 399, 183, 88, 0, 47),
+    ),
+    ("r7-18", "bfs"): (
+        "3 3 L, 3 3 L, 6 5 L, 5 2 R, 6 2 R, 6 3 R, 2 4 R",
+        (108, 489, 243, 112, 0, 37),
+    ),
+    ("r7-19", "astar"): (
+        "4 4 L, 4 4 R, 4 6 L, 4 5 L, 4 3 L, 4 4 L, 2 5 R, 4 7 L",
+        (131, 610, 295, 0, 0, 185),
+    ),
+    ("r7-19", "bfs"): (
+        "4 4 L, 4 4 R, 4 6 L, 4 5 L, 4 3 L, 4 4 L, 2 5 R, 4 7 L",
+        (800, 3232, 2264, 0, 0, 260),
+    ),
+    ("r7-20", "astar"): (
+        "8 3 R, 6 7 L, 8 6 L, 9 4 R, 8 7 L, 3 8 L",
+        (92, 674, 318, 14, 0, 250),
+    ),
+    ("r7-20", "bfs"): (
+        "7 7 R, 9 5 R, 8 3 R, 9 4 R, 3 8 L, 9 5 R",
+        (518, 3319, 2274, 65, 0, 474),
     ),
 }
 
@@ -199,11 +349,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("name, algo", sorted(PINNED))
     def test_pinned_plans_and_counters(self, corpus, name, algo):
-        grid = levels.parse_level(HARD0).grid if name == "hard0" else corpus[name].grid
+        path = HARD_CORPUS / "levels" / f"{name}.txt"
+        grid = levels.load_level(path).grid if path.exists() else corpus[name].grid
         result = planner.solve(QuiescentState(grid), algo=algo)
         plan, counters = PINNED[name, algo]
-        assert levels.emit_plan(result.outcome.plan.moves) == plan
-        assert {key: getattr(result.stats, key) for key in counters} == counters
+        assert ", ".join(levels.emit_plan(result.outcome.plan.moves).splitlines()) == plan
+        assert tuple(getattr(result.stats, key) for key in COUNTERS) == counters
 
     @pytest.mark.parametrize("name, algo, max_moves", sorted(PINNED_AT_BOUND))
     def test_pinned_at_the_optimum_bound(self, corpus, name, algo, max_moves):

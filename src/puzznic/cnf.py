@@ -1,12 +1,11 @@
-"""CNF plumbing: variable maps, clause building, counters, DIMACS output.
+"""CNF plumbing: variable maps, clause lists, DIMACS output.
 
 Variables carry tagged meanings (cell values per step, move selectors, match
-flags, gravity mappings, ...).  Non-auxiliary meanings are numbered first in
-lexicographic order of their tags, so two encodings of the same instance are
-byte-identical; Tseitin auxiliaries follow in creation order.  A formula
-that grows one step at a time numbers each step's meanings, sorted, after
-the variables it already has.  Every literal is a DIMACS integer, and every
-clause a tuple of them.
+flags, gravity mappings, ...).  A formula grows one step at a time: each
+step's meanings are numbered in lexicographic order of their tags after the
+variables the formula already has, and Tseitin auxiliaries in creation
+order, so two encodings of the same instance are byte-identical.  Every
+literal is a DIMACS integer, and every clause a tuple of them.
 """
 
 from __future__ import annotations
@@ -93,8 +92,7 @@ class VarMap:
 
 
 class ClauseBuilder:
-    """The clause list of one formula, with its at-most-one and counter
-    encodings.
+    """The clause list of one formula, with its at-most-one encoding.
 
     The constraint groups extend `clauses` with their tuples directly and
     call `at_most_one` once per list of literals, which keeps the choice of
@@ -108,43 +106,20 @@ class ClauseBuilder:
         """Pairwise: (-a or -b) for every pair, in the order of `lits`."""
         self.clauses.extend(combinations([-lit for lit in lits], 2))
 
-    def totalizer(self, varmap: VarMap, lits: list[int]) -> list[int]:
-        """Sorted unary counter over `lits`: output[j] is implied whenever at
-        least j+1 inputs are true, and outputs are emitted in sorted order
-        (output[0] >= output[1] >= ...).  Only the input->output direction is
-        emitted, which is what upper-bound assumptions need."""
-        if len(lits) <= 1:
-            return list(lits)
-        mid = len(lits) // 2
-        left = self.totalizer(varmap, lits[:mid])
-        right = self.totalizer(varmap, lits[mid:])
-        out = [varmap.aux() for _ in range(len(left) + len(right))]
-        # (-left[i-1] or -right[j-1] or out[i+j-1]), a side dropping out at 0
-        not_left = [()] + [(-lit,) for lit in left]
-        not_right = [()] + [(-lit,) for lit in right]
-        for i, a in enumerate(not_left):
-            for j, b in enumerate(not_right):
-                if i + j:
-                    self.clauses.append((*a, *b, out[i + j - 1]))
-        return out
-
 
 @dataclass(frozen=True)
 class CnfInstance:
     """A propositional encoding plus the meaning of its variables.
 
-    `meta` records the mode ("fixed" or "varmoves"), the horizon and the
-    level.  `unary_moves` holds the sorted move-count literals that
-    `encode_varmoves` emits (other instances leave it empty):
-    unary_moves[j] means "more than j player moves", so assuming
-    -unary_moves[k] caps the plan at k moves.
+    `meta` records the mode ("fixed" or "varmoves"), the horizon, the level
+    and, in varmoves mode, the move bound.  `branch_hints` lists the action
+    variables a solver may branch on first.
     """
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     varmap: VarMap
     meta: dict
-    unary_moves: tuple[int, ...] = ()
     branch_hints: tuple[int, ...] = ()
 
     def to_dimacs(self) -> str:

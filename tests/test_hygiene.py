@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -68,3 +69,83 @@ def test_no_unused_imports(path):
 )
 def test_unused_import_detection(source, unused):
     assert unused_imports(source) == unused
+
+
+ROOT = PACKAGE.parent.parent
+SCANNED = ("src", "tests", "benchmarks")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a module reads outside the body of a definition of that
+    name: names, attributes, imported names, and identifiers inside string
+    constants (`getattr`, `mock.patch` and the benchmark tracer name
+    functions in strings)."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = IDENTIFIER.findall(node.value)
+        else:
+            names = []
+        found.update(name for name in names if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreferenced(package: dict[str, str], others: list[str]) -> list[str]:
+    """Functions and classes (methods included) defined in the `package`
+    sources (file name -> text) whose name no source reads, theirs or
+    `others`.  Dunder methods are called by the language, not by name."""
+    trees = {name: ast.parse(text) for name, text in package.items()}
+    read: set[str] = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        read |= _references(tree)
+    return [
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+
+
+def test_no_unreferenced_definitions():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = [
+        p.read_text(encoding="utf-8")
+        for top in SCANNED
+        for p in sorted((ROOT / top).rglob("*.py"))
+        if p.parent != PACKAGE
+    ]
+    assert unreferenced(package, others) == []
+
+
+@pytest.mark.parametrize(
+    "source,other,unused",
+    [
+        ("def f(): pass\n", "", ["m.py: f (line 1)"]),
+        ("def f(): pass\nf()\n", "", []),
+        ("def f(): pass\n", "from m import f\n", []),
+        ("def f(n): return f(n - 1)\n", "", ["m.py: f (line 1)"]),
+        ("class A:\n    def g(self): pass\n", "A().g()\n", []),
+        ("class A:\n    def g(self): pass\n", "A()\n", ["m.py: g (line 2)"]),
+        ("class A:\n    def __len__(self): return 0\n", "A()\n", []),
+        ("def f(): pass\n", "getattr(m, 'f')\n", []),
+    ],
+)
+def test_unreferenced_detection(source, other, unused):
+    assert unreferenced({"m.py": source}, [other]) == unused

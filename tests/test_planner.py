@@ -18,6 +18,7 @@ ALGOS = ("bfs", "astar", "iddfs")
 
 # The seeded hard corpus of the benchmark and its recorded optima.
 HARD_CORPUS = pathlib.Path(__file__).parent.parent / "benchmarks" / "corpus"
+ANSWERS = json.loads((HARD_CORPUS / "answers.json").read_text())
 
 # Plans and counters the search must reproduce exactly, on a13 and on every
 # level of the hard corpus: a change to the successor order, the frontier's
@@ -350,11 +351,20 @@ class TestSolve:
     @pytest.mark.parametrize("name, algo", sorted(PINNED))
     def test_pinned_plans_and_counters(self, corpus, name, algo):
         path = HARD_CORPUS / "levels" / f"{name}.txt"
-        grid = levels.load_level(path).grid if path.exists() else corpus[name].grid
+        hard = path.exists()
+        grid = levels.load_level(path).grid if hard else corpus[name].grid
         result = planner.solve(QuiescentState(grid), algo=algo)
         plan, counters = PINNED[name, algo]
+        assert result.outcome.plan.cost == ANSWERS["hard" if hard else "bundled"][name]["moves"]
         assert ", ".join(levels.emit_plan(result.outcome.plan.moves).splitlines()) == plan
         assert tuple(getattr(result.stats, key) for key in COUNTERS) == counters
+
+    def test_pinned_covers_the_hard_corpus(self):
+        # so the pinned searches also check every recorded hard optimum
+        hard = sorted(p.stem for p in (HARD_CORPUS / "levels").glob("*.txt"))
+        assert hard == sorted(ANSWERS["hard"])
+        for algo in ("bfs", "astar"):
+            assert [name for name in hard if (name, algo) in PINNED] == hard, algo
 
     @pytest.mark.parametrize("name, algo, max_moves", sorted(PINNED_AT_BOUND))
     def test_pinned_at_the_optimum_bound(self, corpus, name, algo, max_moves):
@@ -388,18 +398,6 @@ class TestSolve:
             else:
                 assert result.solved
                 assert result.outcome.plan.cost == expected
-
-    def test_hard_corpus_optima(self):
-        answers = json.loads((HARD_CORPUS / "answers.json").read_text())["hard"]
-        paths = sorted((HARD_CORPUS / "levels").glob("*.txt"))
-        assert sorted(p.stem for p in paths) == sorted(answers)
-        for path in paths:
-            state = QuiescentState(levels.load_level(path).grid)
-            expected = answers[path.stem]["moves"]
-            for algo in ("bfs", "astar"):
-                result = planner.solve(state, algo=algo)
-                cost = result.outcome.plan.cost if result.solved else None
-                assert cost == expected, (path.stem, algo)
 
 
 class TestDifferential:

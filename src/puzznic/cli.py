@@ -53,12 +53,16 @@ def cmd_solve(args) -> int:
         lf = levels.load_level(args.level, pre_resolve=args.pre_resolve)
     except (LevelError, OSError) as exc:
         return _fail(str(exc))
-    result = planner.solve(
-        QuiescentState(lf.grid),
-        max_moves=args.max_moves,
-        algo=args.algo,
-        time_limit=args.time_limit,
-    )
+    try:
+        result = planner.solve(
+            QuiescentState(lf.grid),
+            max_moves=args.max_moves,
+            algo=args.algo,
+            time_limit=args.time_limit,
+        )
+    except MemoryError:
+        print("budget exhausted before a verdict: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     print(result.stats.as_text(), file=sys.stderr)
     if isinstance(result.outcome, planner.Solved):
         sys.stdout.write(levels.emit_plan(result.outcome.plan.moves))
@@ -66,7 +70,7 @@ def cmd_solve(args) -> int:
     if isinstance(result.outcome, planner.ProvedUnsolvable):
         sys.stderr.write(planner.prove_unsolvable_report(result))
         return EXIT_UNSOLVABLE
-    print("budget exhausted before a verdict", file=sys.stderr)
+    print(f"budget exhausted before a verdict: {result.outcome.reason}", file=sys.stderr)
     return EXIT_BUDGET
 
 
@@ -196,6 +200,8 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
         return (name, method, "Y", str(cost), measure, elapsed)
     if isinstance(result.outcome, planner.ProvedUnsolvable):
         return (name, method, "U", "-", measure, elapsed)
+    if result.outcome.reason == planner.STATE_LIMIT:
+        return (name, method, "M", "-", measure, elapsed)
     return (name, method, "N", "-", measure, elapsed)
 
 

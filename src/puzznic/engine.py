@@ -9,7 +9,8 @@ are immutable and every operation is a pure function.
 
 `Grid`, `QuiescentState` and `Trace` are the validated public boundary.
 Search runs on `Board`, a trusted bitmask form of the same rules that is
-built once per level and validates nothing per state.
+built once per level, packs each state into one int and validates nothing
+per state.
 """
 
 from __future__ import annotations
@@ -364,8 +365,8 @@ def reach_partners(grid: Grid) -> dict[tuple[int, int], tuple[tuple[int, int], .
     is at none of partners(x) can never be cleared.
 
     All cells of one row run (a wall-delimited stretch of a row) share one
-    reach and one partner set, so runs are worked bottom-up as masks in the
-    `Board` layout.
+    reach and one partner set, so runs are worked bottom-up as masks in a
+    `Board` slot layout.
     """
     w = grid.width
 
@@ -403,7 +404,7 @@ def state_key(grid: Grid) -> bytes:
     """Deterministic 128-bit digest of a grid, stable across processes.
 
     Tests and the benchmark corpus generator key grids on it; search keys
-    states on `Board` mask tuples instead, so `hashlib` loads on first use.
+    states on `Board` ints instead, so `hashlib` loads on first use.
     """
     import hashlib
     h = hashlib.blake2b(digest_size=16)
@@ -416,15 +417,13 @@ def state_key(grid: Grid) -> bytes:
 class Board:
     """Trusted bitmask rules for one level, for search.
 
-    A search state is a tuple of Python ints, one mask per pattern id in
-    `patterns`, over a row-major H x W bit layout that includes the
-    perimeter: 1-based cell (r, c) is bit (r - 1) * W + (c - 1).  The wall
-    perimeter is never in a pattern mask, so no shift by one column or row
-    carries a block across a row edge or out of the grid.  Walls and the
-    pattern ids are fixed by the validated root grid; the methods trust
-    their mask input and validate nothing, so only masks from `encode` or
-    `successors` of the same board may be passed in.  The result equals
-    the `Grid` path: `decode` of each successor is `apply_move`'s state.
+    A state is one int: pattern k of `patterns` has the H * W bits from
+    k * H * W up, row-major with the perimeter, so cell (r, c) is bit
+    (r - 1) * W + (c - 1) of that slot.  No slot holds a perimeter cell, so
+    a shift by one row or column carries no block across a row edge or into
+    another slot.  The methods validate nothing: pass only states from
+    `encode` or `successors` of the same board.  `decode` of each successor
+    is `apply_move`'s state.
     """
 
     def __init__(self, grid: Grid):
@@ -439,7 +438,10 @@ class Board:
                 elif v > EMPTY:
                     patterns.add(v)
         self.patterns = tuple(sorted(patterns))
-        self._open = ((1 << (h * w)) - 1) & ~self.walls
+        n, self._slot, self._full = len(self.patterns), h * w, (1 << h * w) - 1
+        self._rep = sum(1 << k * h * w for k in range(n))  # mask * _rep: in all slots
+        self._folds = tuple(h * w << j for j in range((n - 1).bit_length()))  # all into slot 0
+        self._gaps: dict[int, float] = {}  # one pattern's column_gap by its mask
         # (move, target bit) left then right per open cell: search makes no Move.
         self._moves = {}
         for r, c in grid.interior():
@@ -447,114 +449,110 @@ class Board:
                 i = (r - 1) * w + (c - 1)
                 self._moves[i] = ((Move(r, c, LEFT), 1 << i - 1), (Move(r, c, RIGHT), 1 << i + 1))
 
-    def encode(self, grid: Grid) -> tuple[int, ...]:
-        """The mask tuple of a grid with this board's walls and patterns."""
-        masks = dict.fromkeys(self.patterns, 0)
-        w = self.width
+    def encode(self, grid: Grid) -> int:
+        """The state of a grid with this board's walls and patterns."""
+        offset = {p: k * self._slot for k, p in enumerate(self.patterns)}
+        w, state = self.width, 0
         for r, row in enumerate(grid.cells):
             for c, v in enumerate(row):
                 if v > EMPTY:
-                    masks[v] |= 1 << (r * w + c)
-        return tuple(masks.values())
+                    state |= 1 << (offset[v] + r * w + c)
+        return state
 
-    def decode(self, masks: tuple[int, ...]) -> Grid:
-        """The grid a mask tuple stands for."""
+    def decode(self, state: int) -> Grid:
+        """The grid a state stands for."""
         w = self.width
         cells = [
             [WALL if self.walls >> (r * w + c) & 1 else EMPTY for c in range(w)]
             for r in range(self.height)
         ]
-        for pid, m in zip(self.patterns, masks):
-            while m:
-                low = m & -m
-                r, c = divmod(low.bit_length() - 1, w)
-                cells[r][c] = pid
-                m ^= low
+        while state:
+            low = state & -state
+            k, i = divmod(low.bit_length() - 1, self._slot)
+            cells[i // w][i % w] = self.patterns[k]
+            state ^= low
         return Grid._trusted(tuple(tuple(row) for row in cells))
 
-    def resolve(self, masks: list[int]) -> tuple[int, ...]:
-        """Cascade fixpoint on masks: gravity to rest, remove matches, repeat.
+    def resolve(self, state: int) -> int:
+        """Cascade fixpoint: gravity to rest, remove matches, repeat.
 
         Gravity drops, one row per step, every block whose cell below holds
         neither a wall nor a block; steps repeat until nothing moves.  A
         block matches when its right or lower neighbour holds the same
-        pattern; both cells of each such pair go.  `masks` is overwritten.
+        pattern; both cells of each such pair go.  A step acts on all patterns.
         """
-        w, walls = self.width, self.walls
-        n = len(masks)
-        blocks = 0
-        for m in masks:
-            blocks |= m
+        w, walls, rep = self.width, self.walls, self._rep
         while True:
+            blocks = state
+            for span in self._folds:
+                blocks |= blocks >> span
+            blocks &= self._full
             fall = blocks & ~((walls | blocks) >> w)
             while fall:
-                for k in range(n):
-                    f = masks[k] & fall
-                    if f:
-                        masks[k] ^= f | f << w
+                f = state & fall * rep
+                state ^= f | f << w
                 blocks ^= fall | fall << w
                 fall = blocks & ~((walls | blocks) >> w)
-            matched = 0
-            for k in range(n):
-                m = masks[k]
-                hz = m & m >> 1
-                vt = m & m >> w
-                if hz or vt:
-                    gone = hz | hz << 1 | vt | vt << w
-                    masks[k] = m ^ gone
-                    matched |= gone
-            if not matched:
-                return tuple(masks)
-            blocks ^= matched
+            hz = state & state >> 1
+            vt = state & state >> w
+            if not (hz or vt):
+                return state
+            state ^= hz | hz << 1 | vt | vt << w
 
-    def successors(self, masks: tuple[int, ...]) -> Iterator[tuple[Move, tuple[int, ...]]]:
-        """(move, resolved child masks) for each legal move, in `legal_moves` order.
+    def successors(self, state: int) -> Iterator[tuple[Move, int]]:
+        """(move, resolved child) for each legal move, in `legal_moves` order.
 
-        `masks` must be quiescent, as all from `encode` of a `QuiescentState`
-        grid or from `successors` are: no block sits above an empty cell and
-        no match is pending.  So if no block rests on the mover, nothing else
-        falls, the mover drops to the first wall or block below its target,
-        and only it can match: the child skips `resolve` unless it lands
-        beside a block of its own pattern.
+        `state` must be quiescent (no block above an empty cell, no match
+        pending), as all from `encode` of a `QuiescentState` grid or from
+        `successors` are.  So the mover drops to the first wall or block
+        below its target, the stack on it drops one row, nothing else falls,
+        and only a moved block can match: the child skips `resolve` unless
+        one lands beside its own pattern.
         """
-        w = self.width
-        blocks = 0
-        for m in masks:
-            blocks |= m
+        w, hw, rep = self.width, self._slot, self._rep
+        blocks = state
+        for span in self._folds:
+            blocks |= blocks >> span
+        blocks &= self._full
         stop = self.walls | blocks
-        free = self._open & ~blocks
+        free = self._full & ~stop
         movers = blocks & (free << 1 | free >> 1)
         while movers:
             low = movers & -movers
             movers ^= low
-            k = 0
-            while not masks[k] & low:
-                k += 1
-            loaded = blocks & low >> w
-            rest = masks[k] ^ low
+            bit, off = low, 0
+            while not state & bit:
+                bit <<= hw
+                off += hw
+            base, stack, above = state ^ bit, 0, low >> w
+            while blocks & above:
+                stack |= above
+                above >>= w
+            if stack:
+                d = base & stack * rep
+                base ^= d ^ d << w
             for move, to in self._moves[low.bit_length() - 1]:
                 if not free & to:
                     continue
-                while not (loaded or stop & to << w):
+                while not stop & to << w:
                     to <<= w
-                child = list(masks)
-                child[k] = rest | to
-                if loaded or rest & (to << 1 | to >> 1 | to << w | to >> w):
-                    yield move, self.resolve(child)
+                child = base | to << off
+                if stack:
+                    hit = child & (child >> 1 | child >> w)
                 else:
-                    yield move, tuple(child)
+                    hit = base >> off & (to << 1 | to >> 1 | to << w | to >> w)
+                yield move, self.resolve(child) if hit else child
 
-    @staticmethod
-    def is_goal(masks: tuple[int, ...]) -> bool:
-        """True iff no block is left (`is_goal` on masks)."""
-        return not any(masks)
+    def is_dead_end(self, state: int) -> bool:
+        """True iff some pattern has one block (`is_dead_end` on a state)."""
+        while state:
+            m = state & self._full
+            if m and not m & m - 1:
+                return True
+            state >>= self._slot
+        return False
 
-    @staticmethod
-    def is_dead_end(masks: tuple[int, ...]) -> bool:
-        """True iff some pattern has exactly one block (`is_dead_end` on masks)."""
-        return 1 in map(int.bit_count, masks)
-
-    def column_gap(self, masks: tuple[int, ...]) -> float:
+    def column_gap(self, state: int) -> float:
         """Admissible lower bound on the moves left; inf for dead ends.
 
         Every block must go, and a block matches only beside a block of its
@@ -565,37 +563,37 @@ class Board:
         column, and a removal never brings a partner closer.  Each pattern
         costs the largest such d - 1 over its blocks (0 when every block
         shares its column with another), and each move moves one pattern,
-        so the sum over patterns is a lower bound.
+        so the sum over patterns is a lower bound.  Costs are kept by mask.
         """
-        w, hw = self.width, self.height * self.width
-        row = (1 << w) - 1
         total = 0
-        for m in masks:
-            n = m.bit_count()
-            if n == 0:
-                continue
-            if n == 1:
-                return math.inf
-            # Fold the rows onto the first, doubling the rows folded each
-            # pass: bit c-1 of `occ` is set iff column c holds a block of
-            # this pattern, and of `twice` iff it holds two or more.
-            occ, twice, span = m, 0, w
-            while span < hw:
-                up = occ >> span
-                twice |= twice >> span | occ & up
-                occ |= up
-                span *= 2
-            occ &= row
-            # Widen the reach of every occupied column one column per pass
-            # until each lone block has another block in reach.
-            lonely = occ & ~twice
-            d = 0
-            while lonely:
-                d += 1
-                lonely &= ~(occ >> d | occ << d)
-            if d > 1:
-                total += d - 1
+        while state:
+            m = state & self._full
+            state >>= self._slot
+            gap = self._gaps.get(m)
+            if gap is None:
+                gap = self._gaps[m] = self._gap(m)
+            total += gap
         return total
+
+    def _gap(self, m: int) -> float:
+        """The `column_gap` cost of one pattern's mask `m`."""
+        if not m & m - 1:
+            return math.inf if m else 0
+        # Fold the rows onto the first: bit c-1 of `occ` is set iff column c
+        # holds a block, and of `twice` iff it holds two or more.
+        occ, twice, span = m, 0, self.width
+        while span < self._slot:
+            up = occ >> span
+            twice |= twice >> span | occ & up
+            occ |= up
+            span *= 2
+        occ &= (1 << self.width) - 1
+        # Widen each occupied column's reach until every lone block has one.
+        lonely, d = occ & ~twice, 0
+        while lonely:
+            d += 1
+            lonely &= ~(occ >> d | occ << d)
+        return max(d - 1, 0)
 
 
 def verify_trace(trace: Trace) -> bool:

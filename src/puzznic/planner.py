@@ -3,9 +3,9 @@
 Matches and falls are free: the cost of a plan is the number of moves.  All
 three algorithms (bfs, astar, iddfs) return minimum-move plans.  They search
 on the engine's trusted mask path: the root `Grid` is validated once and
-turned into an `engine.Board`, a state is a tuple of per-pattern bitmasks,
-and that tuple is the duplicate-detection key, so no child is built as a
-`Grid`.  bfs and astar run one best-first loop; bfs is astar with h = 0.
+turned into an `engine.Board`, a state is one int that packs a bitmask per
+pattern, and that int is the duplicate-detection key, so no child is built
+as a `Grid`.  bfs and astar run one best-first loop; bfs is astar with h = 0.
 The loop tests for the goal when it generates a child, not when it pops
 one, so it stops without expanding the rest of the last layer.  astar's h
 is an admissible bound built from horizontal distances: a block whose
@@ -13,7 +13,9 @@ nearest block of the same pattern is d columns away needs at least d-1
 moves of that pattern before it can match, and every move shifts one
 block of one pattern by one column (`engine.Board.column_gap`).  iddfs
 prunes only cycles on its path.  All three prune duplicates and dead ends
-(a pattern with a single block).  The plan found is replayed once through
+(a pattern with a single block).  bfs and astar stop with
+BudgetExhausted("state limit") once they store more than `MAX_STATES`
+states, so memory stays bounded.  The plan found is replayed once through
 `engine.replay` for its `Trace`.
 """
 
@@ -27,6 +29,12 @@ from puzznic import engine
 from puzznic.engine import Grid, Move, QuiescentState, Trace
 
 DEFAULT_MAX_MOVES = 100
+# States bfs and astar may store before they give up.  A stored state costs
+# about 200 bytes of peak memory (its parents entry, its frontier entry and
+# its share of the column-gap memo; 196 bytes at 1M states of an astar search
+# on a 10x10 level with 4 patterns), so a capped search stays under 512 MB.
+MAX_STATES = 2_000_000
+STATE_LIMIT = "state limit"  # the BudgetExhausted reason when MAX_STATES bites
 
 
 class PlannerError(Exception):
@@ -112,19 +120,23 @@ def heuristic_column_gap(grid: Grid) -> float:
 
 
 class _Budget:
-    """Deadline check that reads the clock on its first call, then every 64th."""
+    """Time and state limits, checked on the first call and then every 64th,
+    so a search stops at the same pop whenever the state limit bites."""
 
     def __init__(self, time_limit: float | None):
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self._tick = 0
 
-    def exceeded(self) -> bool:
-        if self.deadline is None:
-            return False
+    def check(self, states: int = 0) -> None:
+        """Raise _Exhausted with the reason once the search, which stores
+        `states` states, must stop."""
         self._tick += 1
         if self._tick % 64 != 1:
-            return False
-        return time.monotonic() >= self.deadline
+            return
+        if states > MAX_STATES:
+            raise _Exhausted(STATE_LIMIT)
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise _Exhausted("time limit")
 
 
 def solve(
@@ -137,7 +149,7 @@ def solve(
 
     Returns Solved with an optimal plan, ProvedUnsolvable(max_moves) when the
     bounded duplicate-free search space is exhausted, or BudgetExhausted when
-    the time limit bites first.
+    the time or state limit bites first.
     """
     if max_moves < 0:
         raise InvalidBound(f"max_moves must be >= 0, got {max_moves}")
@@ -151,15 +163,15 @@ def solve(
     root = board.encode(state.grid)
 
     try:
-        if board.is_goal(root):
+        if not root:
             found = []
         elif board.is_dead_end(root):
             stats.generated = stats.dead_ends = 1  # the root itself
             found = None
         else:
             found = search(board, root, max_moves, stats, budget)
-    except _Timeout:
-        outcome = BudgetExhausted()
+    except _Exhausted as exc:
+        outcome = BudgetExhausted(str(exc))
     else:
         if found is None:
             outcome = ProvedUnsolvable(max_moves)
@@ -170,13 +182,13 @@ def solve(
 
 
 # The search loops return the plan's moves, or None when the bounded space is
-# exhausted, and raise _Timeout when the budget bites.  States are
-# `engine.Board` mask tuples, which are also the duplicate-detection keys.
-class _Timeout(Exception):
+# exhausted, and raise _Exhausted when the budget bites.  States are
+# `engine.Board` ints, which are also the duplicate-detection keys.
+class _Exhausted(Exception):
     pass
 
 
-def _path(parents: dict, key: tuple) -> list[Move]:
+def _path(parents: dict, key: int) -> list[Move]:
     moves: list[Move] = []
     while True:
         _, key, move = parents[key]
@@ -211,16 +223,22 @@ def _best_first(board, root, max_moves, stats, budget, heuristic=None):
     optimal even under an inconsistent h.  Children whose g + h exceeds
     `max_moves` are cut.  The counters run in locals and are added to
     `stats` on the way out, a timeout included.
+
+    A child with as many blocks as its parent had no match, so each of its
+    patterns has the parent's block count.  A popped state is neither the
+    goal nor a dead end (the root is tested in `solve`, a child before it
+    is pushed), so such a child is neither: only a child that lost blocks
+    is tested for both.
     """
     h0 = heuristic(board, root) if heuristic else 0
     if h0 > max_moves:
         stats.pruned_bound += 1
         return None
-    successors, is_goal, is_dead_end = board.successors, board.is_goal, board.is_dead_end
-    parents: dict[tuple, tuple] = {root: (0, None, None)}
+    successors, is_dead_end = board.successors, board.is_dead_end
+    parents: dict[int, tuple] = {root: (0, None, None)}
     K = max_moves + 1
     lo = max(h0, 1) * K
-    open_: dict[int, list[tuple]] = {lo: [root]}
+    open_: dict[int, list[int]] = {lo: [root]}
     size = 1
     expanded = generated = duplicates = dead_ends = pruned = max_frontier = 0
     try:
@@ -234,21 +252,22 @@ def _best_first(board, root, max_moves, stats, budget, heuristic=None):
             if not stack:
                 del open_[lo]
                 lo = min(open_, default=float("inf"))
-            if budget.exceeded():
-                raise _Timeout
+            budget.check(len(parents))
             if g > parents[node][0] or g >= max_moves:
                 continue
             expanded += 1
             ng = g + 1
+            n = node.bit_count()
             for move, child in successors(node):
                 generated += 1
-                if is_goal(child):
+                matched = child.bit_count() != n
+                if matched and not child:
                     return _path(parents, node) + [move]
                 best = parents.get(child)
                 if best is not None and ng >= best[0]:
                     duplicates += 1
                     continue
-                if is_dead_end(child):
+                if matched and is_dead_end(child):
                     dead_ends += 1
                     continue
                 h = heuristic(board, child) if heuristic else 0
@@ -257,7 +276,11 @@ def _best_first(board, root, max_moves, stats, budget, heuristic=None):
                     continue
                 key = (ng + max(h, 1)) * K - ng
                 parents[child] = (ng, node, move)
-                open_.setdefault(key, []).append(child)
+                bucket = open_.get(key)
+                if bucket is None:
+                    open_[key] = [child]
+                else:
+                    bucket.append(child)
                 size += 1
                 if key < lo:
                     lo = key
@@ -273,9 +296,8 @@ def _best_first(board, root, max_moves, stats, budget, heuristic=None):
 
 def _solve_iddfs(board, root, max_moves, stats, budget):
     def dfs(node, depth, limit, path, moves):
-        if budget.exceeded():
-            raise _Timeout
-        if board.is_goal(node):
+        budget.check()
+        if not node:
             return list(moves)
         if depth == limit:
             return None

@@ -8,12 +8,13 @@ import sys
 import pytest
 
 from conftest import LEVELS_DIR
-from puzznic import cli, engine, levels
+from puzznic import cli, engine, levels, planner
 
 A13 = str(LEVELS_DIR / "5x7-ps1-a13.txt")
 CORRIDOR = str(LEVELS_DIR / "5x3-desk-corridor.txt")
 SINGLETON = str(LEVELS_DIR / "4x3-desk-singleton.txt")
 SOLVED = str(LEVELS_DIR / "3x3-desk-solved.txt")
+HARD0 = pathlib.Path(__file__).parent.parent / "benchmarks" / "corpus" / "levels" / "hard0.txt"
 STUB = str(pathlib.Path(__file__).parent / "data" / "stub_solver.py")
 SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
@@ -116,8 +117,25 @@ class TestSolve:
         assert "error:" in err
 
     def test_budget_exit_three(self, capsys):
-        code, _, _ = run(capsys, "solve", A13, "--time-limit", "0.0", "--algo", "bfs")
+        code, _, err = run(capsys, "solve", A13, "--time-limit", "0.0", "--algo", "bfs")
         assert code == 3
+        assert "budget exhausted before a verdict: time limit" in err
+
+    def test_state_limit_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_STATES", 500)
+        code, out, err = run(capsys, "solve", str(HARD0))
+        assert code == 3 and out == ""
+        assert "budget exhausted before a verdict: state limit" in err
+
+    def test_memory_error_exits_three(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(planner, "solve", out_of_memory)
+        code, out, err = run(capsys, "solve", A13)
+        assert code == 3 and out == ""
+        assert err == "budget exhausted before a verdict: out of memory\n"
+        assert "Traceback" not in err
 
     def test_pre_resolve_flag(self, capsys, tmp_path):
         messy = tmp_path / "messy.txt"
@@ -285,6 +303,12 @@ class TestBench:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 2 * len(cli.ALL_METHODS)
         assert all(row.split("\t")[2] == "U" for row in rows)
+
+    @pytest.mark.parametrize("method", ["astar", "bfs"])
+    def test_state_limit_row(self, monkeypatch, method):
+        monkeypatch.setattr(planner, "MAX_STATES", 500)
+        row = cli._bench_row(HARD0, method, 60.0, planner.DEFAULT_MAX_MOVES)
+        assert row[:5] == ("hard0", method, "M", "-", "moves")
 
     def test_unknown_method_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", str(tmp_path), "--methods", "dfs")

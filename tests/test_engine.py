@@ -38,9 +38,9 @@ def empty_grid(height: int, width: int) -> Grid:
 
 
 @st.composite
-def grids(draw, max_h: int = 8, max_w: int = 8):
+def grids(draw, max_h: int = 8, max_w: int = 8, **kwargs):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return oracles.random_grid(random.Random(seed), max_h=max_h, max_w=max_w)
+    return oracles.random_grid(random.Random(seed), max_h=max_h, max_w=max_w, **kwargs)
 
 
 class TestGrid:
@@ -404,19 +404,31 @@ class TestBoard:
     @given(grids())
     def test_resolve_matches_grid_resolve(self, g):
         board = engine.Board(g)
-        masks = board.encode(g)
-        assert board.decode(masks) == g
+        packed = board.encode(g)
+        assert board.decode(packed) == g
         state, _, _ = engine.resolve(g)
-        assert board.decode(board.resolve(list(masks))) == state.grid
+        assert board.decode(board.resolve(packed)) == state.grid
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(max_h=10, max_w=10, n_patterns=MAX_PATTERN, p_block=0.6))
+    def test_every_pattern_slot_on_large_grids(self, g):
+        # up to nine patterns, so the highest slots of the packed int fill
+        board = engine.Board(g)
+        packed = board.encode(g)
+        assert packed.bit_length() <= len(board.patterns) * g.height * g.width
+        assert board.decode(packed) == g
+        state, _, _ = engine.resolve(g)
+        assert board.decode(board.resolve(packed)) == state.grid
+        self.successors_with_resolve_calls(state)
 
     @staticmethod
     def successors_with_resolve_calls(state):
         """`Board.successors` of a state checked against `apply_move`, as
         (move, whether the child went through `Board.resolve`)."""
         board = engine.Board(state.grid)
-        masks = board.encode(state.grid)
-        assert board.is_goal(masks) == engine.is_goal(state.grid)
-        assert board.is_dead_end(masks) == engine.is_dead_end(state.grid)
+        packed = board.encode(state.grid)
+        assert (not packed) == engine.is_goal(state.grid)
+        assert board.is_dead_end(packed) == engine.is_dead_end(state.grid)
         calls = []
         resolve = board.resolve
 
@@ -426,7 +438,7 @@ class TestBoard:
 
         board.resolve = counted_resolve
         successors = []
-        for move, child in board.successors(masks):
+        for move, child in board.successors(packed):
             successors.append((move, child, bool(calls)))
             calls.clear()
         assert [move for move, _, _ in successors] == list(engine.legal_moves(state))
@@ -435,7 +447,7 @@ class TestBoard:
             expected, _, _ = engine.apply_move(state, move)
             assert board.decode(child) == expected.grid
             assert board.encode(expected.grid) == child
-            assert board.is_goal(child) == engine.is_goal(expected.grid)
+            assert (not child) == engine.is_goal(expected.grid)
             assert board.is_dead_end(child) == engine.is_dead_end(expected.grid)
             keyed.append((child, engine.state_key(expected.grid)))
         for a, key_a in keyed:
@@ -448,6 +460,21 @@ class TestBoard:
     def test_successors_match_apply_move(self, g):
         state, _, _ = engine.resolve(g)
         self.successors_with_resolve_calls(state)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids(n_patterns=4, p_block=0.5))
+    def test_child_keeping_every_block_is_neither_goal_nor_dead_end(self, g):
+        # what lets the planner test only children that lost blocks
+        state, _, _ = engine.resolve(g)
+        if engine.is_dead_end(state.grid):
+            return
+        board = engine.Board(state.grid)
+        packed = board.encode(state.grid)
+        for move, child in board.successors(packed):
+            if child.bit_count() == packed.bit_count():
+                grid = engine.apply_move(state, move)[0].grid
+                assert engine.pattern_counts(grid) == engine.pattern_counts(state.grid)
+                assert not engine.is_goal(grid) and not engine.is_dead_end(grid)
 
     # Quiescent grids with a move down each branch of `successors`, whether
     # that move's child goes through `Board.resolve`, and its match count.
@@ -467,8 +494,20 @@ class TestBoard:
         "carries a block": (
             ("#######", "#..1..#", "#..2#.#", "#..3..#", "#######"),
             Move(4, 4, RIGHT),
-            True,
+            False,
             0,
+        ),
+        "carries a 3-block stack and drops": (
+            ("#######", "#..1..#", "#..2..#", "#..3..#", "#..4..#", "#..5..#", "#######"),
+            Move(5, 4, LEFT),
+            False,
+            0,
+        ),
+        "carried stack drops into a match": (
+            ("#######", "#.....#", "#..1..#", "#..2..#", "#..32.#", "#######"),
+            Move(5, 4, LEFT),
+            True,
+            1,
         ),
         "matches and cascades": (
             ("#######", "#.....#", "#..2..#", "#.21.1#", "#######"),

@@ -341,6 +341,18 @@ class TestSolve:
         result = planner.solve(state, algo="bfs", time_limit=0.0)
         assert isinstance(result.outcome, planner.BudgetExhausted)
 
+    @pytest.mark.parametrize("algo", ["astar", "bfs"])
+    def test_state_limit_is_deterministic(self, monkeypatch, algo):
+        # the cap is read on the every-64th-pop tick, so runs stop alike
+        monkeypatch.setattr(planner, "MAX_STATES", 500)
+        grid = levels.load_level(HARD_CORPUS / "levels" / "hard0.txt").grid
+        runs = [planner.solve(QuiescentState(grid), algo=algo) for _ in range(2)]
+        for result in runs:
+            assert result.outcome == planner.BudgetExhausted(planner.STATE_LIMIT)
+        first, second = ([getattr(r.stats, key) for key in COUNTERS] for r in runs)
+        assert first == second
+        assert 0 < runs[0].stats.expanded < PINNED["hard0", algo][1][0]
+
     def test_zero_time_limit_stops_a_short_search(self, corpus):
         # two pops solve the corridor; the budget reads the clock on the first
         state = QuiescentState(corpus["5x3-desk-corridor"].grid)

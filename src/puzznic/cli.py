@@ -1,8 +1,8 @@
 """Command line: solve, encode, check, show, export, bench.
 
-Exit codes form a stable contract: 0 success, 1 parse/validation errors,
-2 proved unsolvable within the bound (solve) or plan rejected (check),
-3 search budget exhausted.
+Exit codes form a stable contract: 0 success, 1 parse/validation and usage
+errors, 2 proved unsolvable within the bound (solve) or plan rejected
+(check), 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def cmd_encode(args) -> int:
             instance = encoder.encode_fixed(lf.grid, args.horizon)
         else:
             instance = encoder.encode_varmoves(lf.grid, args.horizon)
-    except (LevelError, encoder.EncoderError, OSError) as exc:
+    except (LevelError, encoder.EncoderError, engine.EngineError, OSError) as exc:
         return _fail(str(exc))
     text = instance.to_dimacs()
     if args.output:
@@ -139,7 +139,7 @@ def cmd_export(args) -> int:
     try:
         lf = levels.load_level(args.level)
         problem = pddl.export_pddl_problem(lf.grid, lf.name or "level", lf.symbol_table)
-    except (LevelError, encoder.LevelInvalid, OSError) as exc:
+    except (LevelError, engine.EngineError, OSError) as exc:
         return _fail(str(exc))
     out_dir = pathlib.Path(args.out_dir)
     domain_path = out_dir / "domain.pddl"
@@ -176,18 +176,13 @@ def _bench_row(level_path: pathlib.Path, method: str, timeout: float, max_moves:
             bound = max_moves
             if mode == "fixed":
                 bound = max_moves + encoder.max_match_steps(lf.grid)
-            try:
-                result = encoder.solve_iterative(
-                    lf.grid,
-                    mode=mode,
-                    bound=bound,
-                    backend=default_backend(),
-                    time_limit=timeout,
-                )
-            except encoder.BoundExhausted:
-                # fixed mode at bound 0: a level that is not cleared cannot
-                # be cleared in zero steps
-                result = planner.SearchResult(planner.ProvedUnsolvable(bound))
+            result = encoder.solve_iterative(
+                lf.grid,
+                mode=mode,
+                bound=bound,
+                backend=default_backend(),
+                time_limit=timeout,
+            )
     except MemoryError:
         return (name, method, "M", "-", "-", f"{time.monotonic() - start:.2f}")
     except BackendFailure as exc:
@@ -245,8 +240,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which means unsolvable here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="puzznic",
         description="Solve, encode, validate, and export static-grid Puzznic levels.",
         epilog=f"Set {ENV_BACKEND} to route CNF solving to an external DIMACS solver.",

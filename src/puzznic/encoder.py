@@ -65,17 +65,9 @@ class HorizonTooLarge(EncoderError):
     pass
 
 
-class LevelInvalid(EncoderError):
-    pass
-
-
 class ModelInconsistent(EncoderError):
     """A model did not replay through the engine: an encoder bug, never
     silently accepted."""
-
-
-class BoundExhausted(EncoderError):
-    """The requested bound admits no horizon to try."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +76,6 @@ class DecodedPlan:
     step_kinds: tuple[str, ...]
     total_steps: int
     trace: Trace
-
-
-def _validate_level(level: Grid) -> None:
-    if engine.find_unsettled(level) is not None:
-        raise LevelInvalid("level has floating blocks")
-    if engine.find_matches(level):
-        raise LevelInvalid("level has pending matches")
 
 
 class _Encoder:
@@ -106,7 +91,7 @@ class _Encoder:
         # a varmoves horizon of n ministeps caps the moves at n - max_matches:
         # each ministep is a move, a match or a dummy
         self.max_matches = max_match_steps(level) if mode == "varmoves" else 0
-        self.H, self.W = level.height, level.width
+        self.H = level.height
         self.patterns = sorted(engine.pattern_counts(level))
         self.nonwall = [
             (r, c) for r, c in level.interior() if level.at(r, c) != WALL
@@ -551,7 +536,7 @@ def _encode(level: Grid, mode: str, horizon: int, **meta) -> CnfInstance:
 
 def encode_fixed(level: Grid, n_steps: int) -> CnfInstance:
     """CNF satisfiable iff the level clears in exactly `n_steps` steps."""
-    _validate_level(level)
+    engine.QuiescentState(level)  # raises EngineError unless quiescent
     if n_steps < 1 or n_steps > MAX_HORIZON:
         raise HorizonTooLarge(f"n_steps={n_steps} outside 1..{MAX_HORIZON}")
     return _encode(level, "fixed", n_steps)
@@ -565,7 +550,7 @@ def max_match_steps(level: Grid) -> int:
 
 def encode_varmoves(level: Grid, max_moves: int) -> CnfInstance:
     """CNF satisfiable iff a plan with at most `max_moves` moves exists."""
-    _validate_level(level)
+    engine.QuiescentState(level)  # raises EngineError unless quiescent
     if max_moves < 0:
         raise HorizonTooLarge(f"max_moves must be >= 0, got {max_moves}")
     horizon = max_moves + max_match_steps(level)
@@ -705,10 +690,14 @@ def solve_iterative(
     the negated assumptions (every g false).  The deadline is checked before
     each step is handed over, and the backend checks it again while it
     searches.  The returned trace is the replay `decode_model` checked.
+    At bound 0 a level that is not cleared is ProvedUnsolvable(0) in both
+    modes, with no backend call.
     """
-    _validate_level(level)
+    engine.QuiescentState(level)  # raises EngineError unless quiescent
     if mode not in ("fixed", "varmoves"):
         raise ValueError(f"unknown mode {mode!r}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     if backend is None:
         from puzznic.backends import InternalBackend
 
@@ -727,12 +716,10 @@ def solve_iterative(
     if engine.is_goal(level):
         return done(SearchResult(Solved(Plan(()), engine.replay(level, ())[0]), stats))
 
-    if bound < (1 if mode == "fixed" else 0):
-        raise BoundExhausted(f"no horizons within bound {bound}")
+    if not bound:  # an uncleared level needs a move, which is a step
+        return done(SearchResult(ProvedUnsolvable(0), stats))
     enc = _Encoder(level, mode, engine.reach_partners(level))
-    # bound 0: an uncleared level needs a move
-    last = bound + enc.max_matches if bound else -1
-    for n in range(last + 1):
+    for n in range(bound + enc.max_matches + 1):
         if expired():
             return done(SearchResult(BudgetExhausted(), stats))
         assumed = enc.add_step() if n else ()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from puzznic import engine
 from puzznic.engine import WALL, Grid
-from puzznic.encoder import LevelInvalid
 from puzznic.levels import PATTERN_CHARS
 
 DOMAIN_NAME = "puzznic"
@@ -122,8 +121,7 @@ def export_pddl_problem(level: Grid, name: str, symbols=None) -> str:
     """Problem document: one location object per non-wall cell, adjacency
     facts, the initial patterned facts, the clear-everything goal, and the
     move-count metric."""
-    if engine.find_unsettled(level) is not None or engine.find_matches(level):
-        raise LevelInvalid("level must be quiescent for export")
+    engine.QuiescentState(level)  # raises EngineError unless quiescent
     cells = [(r, c) for r, c in level.interior() if level.at(r, c) != WALL]
     patterns = sorted(engine.pattern_counts(level))
     facts = adjacency_facts(level)

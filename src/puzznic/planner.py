@@ -16,7 +16,8 @@ prunes only cycles on its path.  All three prune duplicates and dead ends
 (a pattern with a single block).  bfs and astar stop with
 BudgetExhausted("state limit") once they store more than `MAX_STATES`
 states, so memory stays bounded.  The plan found is replayed once through
-`engine.replay` for its `Trace`.
+`engine.replay` for its `Trace`; a plan that does not replay to the goal can
+only mean a `Board` bug and raises PlannerError.
 """
 
 from __future__ import annotations
@@ -176,7 +177,12 @@ def solve(
         if found is None:
             outcome = ProvedUnsolvable(max_moves)
         else:
-            outcome = Solved(Plan(tuple(found)), engine.replay(state.grid, found)[0])
+            trace, bad, why = engine.replay(state.grid, found)
+            if bad is not None:
+                raise PlannerError(f"plan move {bad} fails replay: {why}")
+            if not engine.is_goal(trace.final):
+                raise PlannerError("plan does not clear the level on replay")
+            outcome = Solved(Plan(tuple(found)), trace)
     stats.elapsed = time.monotonic() - start
     return SearchResult(outcome, stats)
 

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+import oracles
 from conftest import LEVELS_DIR
 from puzznic import cli, engine, levels, planner
+from test_engine import make_grid
 
 A13 = str(LEVELS_DIR / "5x7-ps1-a13.txt")
 CORRIDOR = str(LEVELS_DIR / "5x3-desk-corridor.txt")
@@ -86,6 +89,38 @@ class TestNoTraceback:
         code, _, err = run_process(*argv)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve",), ("solve", A13, "--max-moves", "abc"), ("solve", A13, "--algo", "dfs")],
+        ids=["missing-level", "bad-int", "unknown-algo"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # exit 2 is kept for "proved unsolvable" and "plan rejected"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("solve", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [("encode", A13, "--horizon", "1"), ("export", A13, "--out-dir", "{tmp}")]
+    )
+    def test_non_quiescent_grid_exits_one(self, capsys, monkeypatch, tmp_path, argv):
+        # the parser rejects such a level first; the library check is mapped too
+        floating = make_grid("####", "#1.#", "#..#", "####")
+        monkeypatch.setattr(levels, "load_level", lambda path: levels.LevelFile("x", floating))
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: grid not settled")
 
 
 class TestSolve:
@@ -329,3 +364,71 @@ class TestExternalBackendEnv:
         )
         assert code == 0
         assert "lvl\tsat-varmoves\tY\t1\tmoves" in out
+
+
+def _fuzz_level(rng: random.Random) -> bytes:
+    """A level file: often valid, else with bad characters, a broken
+    perimeter, floating blocks or pending matches, a BOM or bytes that are
+    not UTF-8."""
+    if rng.random() < 0.5:
+        grid = oracles.random_quiescent(rng, max_h=6, max_w=6, n_patterns=2).grid
+        lines = levels.emit_level(grid).splitlines()
+    else:
+        h, w = rng.randint(1, 6), rng.randint(2, 7)
+        lines = ["".join(rng.choice("##..  RGB12") for _ in range(w)) for _ in range(h)]
+        lines = ["#" * w, *("#" + line[1:-1] + "#" for line in lines), "#" * w]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):  # a random cell, perimeter included
+        r = rng.randrange(len(lines))
+        c = rng.randrange(len(lines[r]))
+        lines[r] = lines[r][:c] + rng.choice("#.RG1X\té") + lines[r][c + 1 :]
+    text = rng.choice(("", "\ufeff")) + "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+    data = text.encode("utf-8")
+    return data + b"\xff\xfe" if rng.random() < 0.1 else data
+
+
+def _fuzz_plan(rng: random.Random) -> bytes:
+    lines = [
+        f"{rng.randint(1, 6)} {rng.randint(1, 6)} {rng.choice('LLRRlrX')}"
+        for _ in range(rng.randint(0, 5))
+    ]
+    lines += rng.sample(["", "# note", "0 2 L", "1 2", "a b L", "2 2 R R"], rng.choice((0, 0, 1)))
+    rng.shuffle(lines)
+    data = "\n".join(lines).encode("utf-8")
+    return b"\x80" + data if rng.random() < 0.1 else data
+
+
+def test_fuzz_every_command_exits_zero_to_three(capsys, tmp_path):
+    """Random level and plan files through every command, in process and
+    with small budgets: each call returns an exit code 0-3 and raises
+    nothing."""
+    rng = random.Random(20)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(150):
+        level, plan = tmp_path / f"level{i}.txt", tmp_path / f"plan{i}.txt"
+        level.write_bytes(_fuzz_level(rng))
+        plan.write_bytes(_fuzz_plan(rng))
+        if i % 30 == 0:
+            (corpus / level.name).write_bytes(level.read_bytes())
+        calls = [
+            ["solve", level, "--time-limit", "0.5", "--max-moves", "4"],
+            ["encode", level, "--mode", rng.choice(("fixed", "varmoves")),
+             "--horizon", rng.randint(1, 3)],
+            ["export", level, "--out-dir", tmp_path / "pddl"],
+            ["check", level, plan],
+            ["show", level, plan],
+        ]
+        if rng.random() < 0.3:
+            calls[0].append("--pre-resolve")
+        for argv in calls:
+            argv = [str(a) for a in argv]
+            try:
+                code = cli.main(argv)
+            except BaseException as exc:  # SystemExit included
+                pytest.fail(f"{argv} raised {exc!r} on {level.read_bytes()!r}")
+            assert code in (0, 1, 2, 3), (argv, level.read_bytes())
+            capsys.readouterr()
+    argv = ["bench", str(corpus), "--timeout", "1", "--max-moves", "4"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 + 5 * len(cli.ALL_METHODS)

@@ -260,8 +260,31 @@ class TestEncodeFixed:
 
     def test_rejects_non_quiescent(self):
         floating = make_grid("####", "#1.#", "#..#", "####")
-        with pytest.raises(encoder.LevelInvalid):
+        with pytest.raises(engine.EngineError):
             encoder.encode_fixed(floating, 1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda level: encoder.encode_fixed(level, 1),
+        lambda level: encoder.encode_varmoves(level, 1),
+        lambda level: encoder.solve_iterative(level, "fixed", 4),
+        lambda level: encoder.solve_iterative(level, "varmoves", 4),
+    ],
+    ids=["encode_fixed", "encode_varmoves", "sat-fixed", "sat-varmoves"],
+)
+@pytest.mark.parametrize(
+    "rows,why",
+    [
+        (("####", "#1.#", "#..#", "####"), "not settled"),
+        (("####", "#..#", "#11#", "####"), "pending matches"),
+    ],
+    ids=["floating", "pending"],
+)
+def test_entry_points_reject_non_quiescent(entry, rows, why):
+    with pytest.raises(engine.EngineError, match=why):
+        entry(make_grid(*rows))
 
 
 class TestEncodeVarmoves:
@@ -491,11 +514,20 @@ class TestSolveIterative:
             result = encoder.solve_iterative(level, mode=mode, bound=8)
             assert result.outcome.trace == engine.replay(level, result.outcome.plan.moves)[0]
 
-    def test_fixed_bound_zero_rejected(self, corpus):
-        with pytest.raises(encoder.BoundExhausted):
-            encoder.solve_iterative(
-                corpus["5x3-desk-corridor"].grid, mode="fixed", bound=0
-            )
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    def test_bound_zero_proves_unsolvable_without_a_call(self, corpus, mode):
+        for name, lf in corpus.items():
+            if engine.is_goal(lf.grid):
+                continue
+            backend = Recording()
+            result = encoder.solve_iterative(lf.grid, mode=mode, bound=0, backend=backend)
+            assert result.outcome == planner.ProvedUnsolvable(0), name
+            assert (backend.adds, backend.verdicts) == (0, []), name
+
+    @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
+    def test_negative_bound_rejected(self, corpus, mode):
+        with pytest.raises(ValueError, match="bound"):
+            encoder.solve_iterative(corpus["5x3-desk-corridor"].grid, mode=mode, bound=-1)
 
     def test_varmoves_unsolvable_within_bound(self, corpus):
         result = encoder.solve_iterative(
@@ -569,15 +601,6 @@ class TestSolveIterative:
             units = [(v if on else -v,) for v, on in zip(moving, flags)]
             model = solve_clauses(enc.b.clauses + units, len(enc.vm), (enc.non_moves[-1],))
             assert (model is not None) == (flags.count(False) >= k), flags
-
-    def test_varmoves_bound_zero_asks_nothing(self, corpus):
-        backend = Recording()
-        result = encoder.solve_iterative(
-            corpus["5x3-desk-corridor"].grid, mode="varmoves", bound=0, backend=backend
-        )
-        assert isinstance(result.outcome, planner.ProvedUnsolvable)
-        assert result.outcome.within_bound == 0
-        assert backend.verdicts == []
 
     @pytest.mark.parametrize("mode", ["fixed", "varmoves"])
     @pytest.mark.parametrize("name", ["4x3-desk-singleton", "6x3-desk-sealed", "walled-in"])

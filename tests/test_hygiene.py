@@ -81,10 +81,14 @@ def _references(tree: ast.AST) -> set[str]:
     """Every name a module reads outside the body of a definition of that
     name: names, attributes, imported names, and identifiers inside string
     constants (`getattr`, `mock.patch` and the benchmark tracer name
-    functions in strings)."""
+    functions in strings).  Docstrings are skipped: a name that is only
+    written about is not read."""
     found: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset) -> None:
+        docstring = None
+        if isinstance(node, (ast.Module, *DEFINITIONS)) and ast.get_docstring(node) is not None:
+            docstring = node.body[0]
         if isinstance(node, DEFINITIONS):
             enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
@@ -99,7 +103,8 @@ def _references(tree: ast.AST) -> set[str]:
             names = []
         found.update(name for name in names if name not in enclosing)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            if child is not docstring:
+                visit(child, enclosing)
 
     visit(tree, frozenset())
     return found
@@ -145,6 +150,9 @@ def test_no_unreferenced_definitions():
         ("class A:\n    def g(self): pass\n", "A()\n", ["m.py: g (line 2)"]),
         ("class A:\n    def __len__(self): return 0\n", "A()\n", []),
         ("def f(): pass\n", "getattr(m, 'f')\n", []),
+        ("def f(): pass\n", '"""f is only written about."""\n', ["m.py: f (line 1)"]),
+        ("def f(): pass\nclass A:\n    'See f.'\nA()\n", "", ["m.py: f (line 1)"]),
+        ("def f(): pass\ndef g():\n    'See f.'\n    return 'f'\ng()\n", "", []),
     ],
 )
 def test_unreferenced_detection(source, other, unused):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from conftest import corpus_paths
-from puzznic import encoder, levels, pddl
+from puzznic import engine, levels, pddl
 from test_engine import empty_grid, make_grid
 
 
@@ -88,5 +93,24 @@ class TestProblem:
 
     def test_non_quiescent_rejected(self):
         floating = make_grid("####", "#1.#", "#..#", "####")
-        with pytest.raises(encoder.LevelInvalid):
+        with pytest.raises(engine.EngineError):
             pddl.export_pddl_problem(floating, "bad")
+
+
+def test_import_loads_no_solver_module():
+    # export needs the rules and the level format, not the SAT stack
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import sys, puzznic.pddl; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "puzznic.pddl" in loaded
+    solver_side = {"encoder", "planner", "satsolver", "cnf", "backends"}
+    assert loaded.isdisjoint(f"puzznic.{name}" for name in solver_side)

@@ -360,6 +360,32 @@ class TestSolve:
             result = planner.solve(state, algo=algo, time_limit=0.0)
             assert isinstance(result.outcome, planner.BudgetExhausted), algo
 
+    # A fault in `Board` must not reach the caller as a Solved plan: the
+    # plan found is replayed, and one that fails replay raises.
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_plan_with_an_illegal_move_raises(self, a13, monkeypatch, algo):
+        successors = engine.Board.successors
+
+        def wrong_move(board, state):
+            for move, child in successors(board, state):
+                yield engine.Move(1, 1, move.dir), child  # a perimeter cell
+
+        monkeypatch.setattr(engine.Board, "successors", wrong_move)
+        with pytest.raises(planner.PlannerError, match="move 1 fails replay"):
+            planner.solve(QuiescentState(a13.grid), algo=algo)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_plan_that_leaves_blocks_raises(self, a13, monkeypatch, algo):
+        successors = engine.Board.successors
+
+        def wrong_child(board, state):
+            for move, _ in successors(board, state):
+                yield move, 0  # every child read as the goal; a13 needs 4 moves
+
+        monkeypatch.setattr(engine.Board, "successors", wrong_child)
+        with pytest.raises(planner.PlannerError, match="does not clear"):
+            planner.solve(QuiescentState(a13.grid), algo=algo)
+
     @pytest.mark.parametrize("name, algo", sorted(PINNED))
     def test_pinned_plans_and_counters(self, corpus, name, algo):
         path = HARD_CORPUS / "levels" / f"{name}.txt"

@@ -7,6 +7,14 @@ block with an orthogonal same-pattern neighbour is removed.  Removals repeat
 (settle, match, settle, ...) until the grid is quiescent.  All values here
 are immutable and every operation is a pure function.
 
+A cascade round settles only the columns where a block can float, and
+matches only within a column of them, since a new match needs a cell that
+changed.  After a move from a quiescent state those are the source and
+target columns.  After a simultaneous removal no untouched cell holds a
+match (it would have gone with the rest), so they are the removed cells'
+columns.  `settle`, `find_matches` and `resolve` run the same code on every
+column, so they take any grid.
+
 `Grid`, `QuiescentState` and `Trace` are the validated public boundary.
 Search runs on `Board`, a trusted bitmask form of the same rules that is
 built once per level, packs each state into one int and validates nothing
@@ -106,15 +114,15 @@ class Grid:
         """New grid with the given 1-based cells replaced; only those are
         checked (in the grid, a legal value, the perimeter kept a wall)."""
         h, w = self.height, self.width
-        rows = [list(row) for row in self.cells]
+        rows = list(self.cells)  # only the rows written are rebuilt
         for (r, c), v in updates.items():
             if not (1 <= r <= h and 1 <= c <= w):
                 raise ValueError(f"cell ({r}, {c}) outside the {h}x{w} grid")
             _check_cell(v)
             if v != WALL and (r in (1, h) or c in (1, w)):
                 raise ValueError(f"missing wall perimeter at ({r}, {c})")
-            rows[r - 1][c - 1] = v
-        return Grid._trusted(tuple(tuple(row) for row in rows))
+            rows[r - 1] = rows[r - 1][: c - 1] + (v,) + rows[r - 1][c:]
+        return Grid._trusted(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -195,9 +203,11 @@ class QuiescentState:
 
 def find_unsettled(grid: Grid) -> tuple[int, int] | None:
     """First (row-major) pattern cell resting on an empty cell, if any."""
-    for r, c in grid.interior():
-        if grid.at(r, c) > EMPTY and grid.at(r + 1, c) == EMPTY:
-            return r, c
+    cells = grid.cells
+    for r in range(1, len(cells) - 1):
+        for c, (v, below) in enumerate(zip(cells[r], cells[r + 1])):
+            if v > EMPTY and below == EMPTY:
+                return r + 1, c + 1
     return None
 
 
@@ -208,42 +218,48 @@ def settle(grid: Grid) -> tuple[Grid, bool]:
     segment, preserving their top-to-bottom order.  Returns the settled grid
     and whether anything fell.
     """
-    rows = [list(row) for row in grid.cells]
-    fell = False
-    for c in range(1, grid.width - 1):
-        seg_start = 0  # index of the wall above the current segment
-        for r in range(1, grid.height):
-            if rows[r][c] != WALL:
-                continue
-            # segment rows are seg_start+1 .. r-1
-            blocks = [rows[q][c] for q in range(seg_start + 1, r) if rows[q][c] != EMPTY]
-            n_empty = (r - seg_start - 1) - len(blocks)
-            packed = [EMPTY] * n_empty + blocks
-            for off, v in enumerate(packed):
-                q = seg_start + 1 + off
-                if rows[q][c] != v:
-                    rows[q][c] = v
-                    fell = True
-            seg_start = r
-    if not fell:
+    return _settle(grid, range(1, grid.width - 1))
+
+
+def _settle(grid: Grid, cols) -> tuple[Grid, bool]:
+    """`settle` in the given 0-based columns only."""
+    cells, rows = grid.cells, None
+    for c in cols:
+        column = [row[c] for row in cells]
+        packed, blocks, run = [], [], 0
+        for v in column:  # the perimeter wall at the bottom closes the last segment
+            if v == WALL:
+                packed += [EMPTY] * (run - len(blocks))
+                packed += blocks
+                packed.append(WALL)
+                blocks, run = [], 0
+            else:
+                run += 1
+                if v:
+                    blocks.append(v)
+        if packed != column:
+            rows = rows or [list(row) for row in cells]
+            for row, v in zip(rows, packed):
+                row[c] = v
+    if rows is None:
         return grid, False
-    return Grid._trusted(tuple(tuple(row) for row in rows)), True
-
-
-_NEIGHBOURS = ((-1, 0), (1, 0), (0, 1), (0, -1))
+    return Grid._trusted(tuple(map(tuple, rows))), True
 
 
 def find_matches(grid: Grid) -> set[tuple[int, int]]:
     """Positions of pattern cells with an orthogonal same-pattern neighbour."""
-    out: set[tuple[int, int]] = set()
-    for r, c in grid.interior():
-        v = grid.at(r, c)
-        if v <= EMPTY:
-            continue
-        for dr, dc in _NEIGHBOURS:
-            if grid.at(r + dr, c + dc) == v:
-                out.add((r, c))
-                break
+    return _find_matches(grid, range(1, grid.width - 1))
+
+
+def _find_matches(grid: Grid, cols) -> set[tuple[int, int]]:
+    """`find_matches` among the cells of the given 0-based columns."""
+    cells, out = grid.cells, set()
+    for c in cols:
+        for r in range(1, len(cells) - 1):
+            row = cells[r]
+            v = row[c]
+            if v > EMPTY and v in (row[c - 1], row[c + 1], cells[r - 1][c], cells[r + 1][c]):
+                out.add((r + 1, c + 1))
     return out
 
 
@@ -261,18 +277,26 @@ def resolve(grid: Grid) -> tuple[QuiescentState, tuple[Event, ...], int]:
     Matching only ever happens on a settled grid.  Returns the quiescent
     state, the fall/match events in order, and the number of match events.
     """
+    return _resolve(grid, range(1, grid.width - 1))
+
+
+def _resolve(grid: Grid, cols) -> tuple[QuiescentState, tuple[Event, ...], int]:
+    """`resolve` of a grid settled outside the 0-based columns `cols`
+    whose settled form has no match more than a column away from them."""
     events: list[Event] = []
-    matches = 0
+    matches, last = 0, grid.width - 1
     while True:
-        grid, fell = settle(grid)
+        grid, fell = _settle(grid, cols)
         if fell:
             events.append(FallEvent(after=grid))
-        matched = find_matches(grid)
+        near = {x for c in cols for x in (c - 1, c, c + 1) if 0 < x < last}
+        matched = _find_matches(grid, near)
         if not matched:
             break
         grid = remove_matches(grid, matched)
         events.append(MatchEvent(removed=frozenset(matched), after=grid))
         matches += 1
+        cols = {c - 1 for _, c in matched}
     return QuiescentState._trusted(grid), tuple(events), matches
 
 
@@ -297,6 +321,14 @@ def apply_move(state: QuiescentState, move: Move) -> tuple[QuiescentState, Trace
     the full trace (move event plus resolve events), and the match count.
     """
     grid = state.grid
+    moved = _slide(grid, move)
+    new_state, cascade, matches = _resolve(moved, (move.col - 1, move.col + move.dir - 1))
+    return new_state, Trace(grid, (MoveEvent(move, moved), *cascade)), matches
+
+
+def _slide(grid: Grid, move: Move) -> Grid:
+    """The grid with `move`'s block in the empty cell beside it, before
+    anything falls; raises IllegalMove if the move is not legal there."""
     r, c, d = move.row, move.col, move.dir
     if not (2 <= r <= grid.height - 1 and 2 <= c <= grid.width - 1):
         raise IllegalMove(f"move source ({r}, {c}) is not an interior cell")
@@ -304,11 +336,7 @@ def apply_move(state: QuiescentState, move: Move) -> tuple[QuiescentState, Trace
         raise IllegalMove(f"no block to move at ({r}, {c})")
     if grid.at(r, c + d) != EMPTY:
         raise IllegalMove(f"target cell ({r}, {c + d}) is not empty")
-    moved = grid.replace({(r, c): EMPTY, (r, c + d): grid.at(r, c)})
-    events: list[Event] = [MoveEvent(move=move, after=moved)]
-    new_state, cascade, matches = resolve(moved)
-    events.extend(cascade)
-    return new_state, Trace(initial=grid, events=tuple(events)), matches
+    return grid.replace({(r, c): EMPTY, (r, c + d): grid.at(r, c)})
 
 
 def replay(grid: Grid, moves) -> tuple[Trace, int | None, str | None]:
@@ -597,18 +625,28 @@ class Board:
 
 
 def verify_trace(trace: Trace) -> bool:
-    """Replay the events from the initial grid and check every `after` grid."""
+    """Replay the events from the initial grid under the rules; never raises.
+
+    A move must be one `apply_move` accepts there, a fall one `settle` that
+    moves a block, and a match must come on a settled grid and remove
+    exactly its `find_matches`, at least one cell.  Each `after` must be
+    the grid so replayed.
+    """
     grid = trace.initial
     for event in trace.events:
         if isinstance(event, MoveEvent):
-            m = event.move
-            grid = grid.replace(
-                {(m.row, m.col): EMPTY, (m.row, m.col + m.dir): grid.at(m.row, m.col)}
-            )
+            try:
+                grid = _slide(grid, event.move)
+            except IllegalMove:
+                return False
         elif isinstance(event, FallEvent):
-            grid, _ = settle(grid)
+            grid, fell = settle(grid)
+            if not fell:
+                return False
+        elif event.removed and event.removed == find_matches(grid) and find_unsettled(grid) is None:
+            grid = remove_matches(grid, event.removed)
         else:
-            grid = remove_matches(grid, set(event.removed))
+            return False
         if grid != event.after:
             return False
     return True

@@ -16,6 +16,7 @@ newline, so emitted documents are byte-stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -165,19 +166,16 @@ def emit_level(grid: Grid, symbols: Mapping[str, int] | None = None) -> str:
     With `symbols` (the parse-time symbol table) the original pattern letters
     are kept; otherwise ids map to the canonical alphabet in order.
     """
-    id_to_char = {pid: ch for ch, pid in (symbols or {}).items()}
-    out_lines = []
-    for row in grid.cells:
-        chars = []
-        for v in row:
-            if v == WALL:
-                chars.append("#")
-            elif v == EMPTY:
-                chars.append(".")
-            else:
-                chars.append(id_to_char.get(v) or PATTERN_CHARS[v - 1])
-        out_lines.append("".join(chars))
-    return "\n".join(out_lines) + "\n"
+    table = _char_table(symbols)
+    return "".join("".join(map(table.__getitem__, row)) + "\n" for row in grid.cells)
+
+
+def _char_table(symbols: Mapping[str, int] | None) -> dict[int, str]:
+    """Cell value -> character for `emit_level` and `render_trace`."""
+    table = dict(enumerate(PATTERN_CHARS, start=1))
+    table.update((pid, ch) for ch, pid in (symbols or {}).items())
+    table.update({WALL: "#", EMPTY: "."})
+    return table
 
 
 _DIR_CHARS = {LEFT: "L", RIGHT: "R"}
@@ -223,11 +221,13 @@ def render_trace(trace: Trace, symbols: Mapping[str, int] | None = None) -> str:
     Each block is tagged with the event kind (M move, F fall, * match) and a
     1-based step index; the initial grid appears first, untagged, as step 0.
     """
-    blocks = []
+    table, blocks = _char_table(symbols), []
+    # Most rows recur from block to block, so each distinct row is drawn once.
+    line = functools.cache(lambda row: "".join(map(table.__getitem__, row)))
 
     def block(tag: str, index: int, grid: Grid) -> str:
-        art = emit_level(grid, symbols).rstrip("\n").splitlines()
-        return "\n".join(f"{tag} {index:>3} {line}" for line in art)
+        prefix = f"{tag} {index:>3} "
+        return prefix + ("\n" + prefix).join(map(line, grid.cells))
 
     blocks.append(block(" ", 0, trace.initial))
     for i, event in enumerate(trace.events, start=1):

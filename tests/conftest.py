@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from puzznic import levels
+
+# CI sets HYPOTHESIS_PROFILE=ci: a failing property then prints the
+# `@reproduce_failure` blob that replays it locally.
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 LEVELS_DIR = pathlib.Path(__file__).parent.parent / "src" / "puzznic" / "levels"
 

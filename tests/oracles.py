@@ -18,6 +18,8 @@ from puzznic import engine
 from puzznic.cnf import ClauseBuilder, CnfInstance
 from puzznic.engine import EMPTY, Grid, QuiescentState
 
+NEIGHBOURS = ((-1, 0), (1, 0), (0, 1), (0, -1))
+
 
 def single_fall_step(grid: Grid) -> Grid | None:
     """Drop the first (row-major) block that has an empty cell below it."""
@@ -123,7 +125,7 @@ def reach_partners(grid: Grid) -> dict[tuple[int, int], tuple[tuple[int, int], .
     reaches = {x: reach(x) for x in nonwall}
     partners = {}
     for x in nonwall:
-        touch = {(r + dr, c + dc) for r, c in reaches[x] for dr, dc in engine._NEIGHBOURS}
+        touch = {(r + dr, c + dc) for r, c in reaches[x] for dr, dc in NEIGHBOURS}
         partners[x] = tuple(y for y in nonwall if y != x and reaches[y] & touch)
     return partners
 

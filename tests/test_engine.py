@@ -125,6 +125,19 @@ class TestFindMatches:
         g = empty_grid(6, 6).replace({(4, 3): 1, (5, 3): 1, (5, 4): 1})
         assert engine.find_matches(g) == {(4, 3), (5, 3), (5, 4)}
 
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    def test_equals_neighbour_scan(self, g):
+        expected = {
+            (r, c)
+            for r, c in g.interior()
+            if g.at(r, c) > EMPTY
+            and any(g.at(r + dr, c + dc) == g.at(r, c) for dr, dc in oracles.NEIGHBOURS)
+        }
+        assert engine.find_matches(g) == expected
+        floating = [(r, c) for r, c in g.interior() if g.at(r, c) > EMPTY and g.at(r + 1, c) == EMPTY]
+        assert engine.find_unsettled(g) == (floating[0] if floating else None)
+
 
 class TestRemoveMatches:
     def test_remove_nothing(self):
@@ -293,6 +306,81 @@ class TestApplyMove:
             if c in (move.col, move.col + move.dir):
                 continue
             assert set(after[c]) <= set(before[c])
+
+
+class TestCascadeLocality:
+    """`apply_move` settles and matches only near the move; its events must
+    be those of the whole-grid `resolve` of the moved grid."""
+
+    @staticmethod
+    def check_every_move(state):
+        for move in engine.legal_moves(state):
+            new, trace, matches = engine.apply_move(state, move)
+            moved = trace.events[0].after
+            whole, events, whole_matches = engine.resolve(moved)
+            assert trace.events[0] == engine.MoveEvent(move, moved)
+            assert len(trace.events) == len(events) + 1
+            for local, full in zip(trace.events[1:], events):
+                assert local == full
+            assert (new.grid, matches) == (whole.grid, whole_matches)
+            assert engine.verify_trace(trace)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_playout_moves_equal_whole_grid_resolve(self, seed):
+        # walls split columns into segments that settle apart
+        rng = random.Random(seed)
+        state = oracles.random_quiescent(rng, max_h=10, p_wall=0.2, p_block=0.45)
+        for _ in range(4):
+            self.check_every_move(state)
+            moves = engine.legal_moves(state)
+            if not moves:
+                break
+            state, _, _ = engine.apply_move(state, rng.choice(moves))
+
+    def test_two_match_cascade(self, corpus):
+        state = QuiescentState(corpus["7x6-desk-cascade"].grid)
+        _, _, matches = engine.apply_move(state, Move(3, 5, LEFT))
+        assert matches == 2
+        self.check_every_move(state)
+
+
+class TestVerifyTrace:
+    # (3, 2) holds pattern 1 and (3, 3) pattern 2: settled, no match
+    GRID = make_grid("#####", "#...#", "#12.#", "#####")
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            # each `after` is what applying the event blindly would give
+            engine.MoveEvent(Move(3, 2, RIGHT), GRID.replace({(3, 2): EMPTY, (3, 3): 1})),
+            engine.MoveEvent(Move(3, 4, LEFT), GRID.replace({(3, 3): EMPTY})),
+            engine.MoveEvent(Move(9, 9, LEFT), GRID),
+            engine.MatchEvent(frozenset({(3, 2), (3, 3)}), GRID.replace({(3, 2): 0, (3, 3): 0})),
+            engine.MatchEvent(frozenset({(2, 2)}), GRID),
+            engine.MatchEvent(frozenset(), GRID),
+            engine.FallEvent(GRID),
+        ],
+        ids=["onto-block", "from-empty", "outside", "unlike", "empty-cell", "no-cells", "no-fall"],
+    )
+    def test_illegal_event_rejected(self, event):
+        assert engine.verify_trace(engine.Trace(self.GRID, (event,))) is False
+
+    def test_match_on_unsettled_grid_rejected(self):
+        g = make_grid("#####", "#11.#", "#...#", "#####")
+        event = engine.MatchEvent(frozenset({(2, 2), (2, 3)}), empty_grid(4, 5))
+        assert engine.verify_trace(engine.Trace(g, (event,))) is False
+
+    def test_match_of_part_of_the_matches_rejected(self):
+        g = make_grid("#####", "#...#", "#111#", "#####")
+        event = engine.MatchEvent(frozenset({(3, 2), (3, 3)}), g.replace({(3, 2): 0, (3, 3): 0}))
+        assert engine.verify_trace(engine.Trace(g, (event,))) is False
+        whole = engine.MatchEvent(frozenset({(3, 2), (3, 3), (3, 4)}), empty_grid(4, 5))
+        assert engine.verify_trace(engine.Trace(g, (whole,)))
+
+    def test_wrong_after_rejected(self):
+        event = engine.MoveEvent(Move(3, 3, RIGHT), self.GRID)
+        assert engine.verify_trace(engine.Trace(self.GRID, (event,))) is False
 
 
 class TestGoalsAndCensus:

@@ -13,6 +13,96 @@ from puzznic.engine import LEFT, RIGHT, Move
 
 A13_DOC = "#####\n#R.R#\n#P.B#\n##.##\n#...#\n#B.P#\n#####\n"
 A13_SPACES = "#####\n#R R#\n#P B#\n## ##\n#   #\n#B P#\n#####\n"
+# `render_trace` of 7x6-desk-cascade after Move(3, 5, LEFT): a move, then
+# two rounds of fall and match; B is pattern 1 and R pattern 2.
+CASCADE_TRACE = (
+    "    0 #######\n"
+    "    0 #.....#\n"
+    "    0 #.B.R.#\n"
+    "    0 ##R.#.#\n"
+    "    0 #.B#..#\n"
+    "    0 #######\n"
+    "\n"
+    "M   1 #######\n"
+    "M   1 #.....#\n"
+    "M   1 #.BR..#\n"
+    "M   1 ##R.#.#\n"
+    "M   1 #.B#..#\n"
+    "M   1 #######\n"
+    "\n"
+    "F   2 #######\n"
+    "F   2 #.....#\n"
+    "F   2 #.B...#\n"
+    "F   2 ##RR#.#\n"
+    "F   2 #.B#..#\n"
+    "F   2 #######\n"
+    "\n"
+    "*   3 #######\n"
+    "*   3 #.....#\n"
+    "*   3 #.B...#\n"
+    "*   3 ##..#.#\n"
+    "*   3 #.B#..#\n"
+    "*   3 #######\n"
+    "\n"
+    "F   4 #######\n"
+    "F   4 #.....#\n"
+    "F   4 #.....#\n"
+    "F   4 ##B.#.#\n"
+    "F   4 #.B#..#\n"
+    "F   4 #######\n"
+    "\n"
+    "*   5 #######\n"
+    "*   5 #.....#\n"
+    "*   5 #.....#\n"
+    "*   5 ##..#.#\n"
+    "*   5 #..#..#\n"
+    "*   5 #######\n"
+)
+
+# The same trace without its symbol table: ids take the canonical letters.
+CASCADE_TRACE_CANONICAL = (
+    "    0 #######\n"
+    "    0 #.....#\n"
+    "    0 #.R.O.#\n"
+    "    0 ##O.#.#\n"
+    "    0 #.R#..#\n"
+    "    0 #######\n"
+    "\n"
+    "M   1 #######\n"
+    "M   1 #.....#\n"
+    "M   1 #.RO..#\n"
+    "M   1 ##O.#.#\n"
+    "M   1 #.R#..#\n"
+    "M   1 #######\n"
+    "\n"
+    "F   2 #######\n"
+    "F   2 #.....#\n"
+    "F   2 #.R...#\n"
+    "F   2 ##OO#.#\n"
+    "F   2 #.R#..#\n"
+    "F   2 #######\n"
+    "\n"
+    "*   3 #######\n"
+    "*   3 #.....#\n"
+    "*   3 #.R...#\n"
+    "*   3 ##..#.#\n"
+    "*   3 #.R#..#\n"
+    "*   3 #######\n"
+    "\n"
+    "F   4 #######\n"
+    "F   4 #.....#\n"
+    "F   4 #.....#\n"
+    "F   4 ##R.#.#\n"
+    "F   4 #.R#..#\n"
+    "F   4 #######\n"
+    "\n"
+    "*   5 #######\n"
+    "*   5 #.....#\n"
+    "*   5 #.....#\n"
+    "*   5 ##..#.#\n"
+    "*   5 #..#..#\n"
+    "*   5 #######\n"
+)
 
 
 class TestParseLevel:
@@ -103,6 +193,14 @@ class TestEmitLevel:
         g2, _, _ = engine.resolve(g)
         assert "R" in levels.emit_level(g2.grid)
 
+    def test_remapped_symbols_pinned(self):
+        # digits read as their letters; ids follow first appearance, not
+        # the alphabet, so the canonical rendering renames every pattern
+        lf = levels.parse_level("#######\n#3.B..#\n#L#6.1#\n#######\n")
+        assert lf.symbol_table == {"Y": 1, "B": 2, "L": 3, "V": 4, "R": 5}
+        assert levels.emit_level(lf.grid, lf.symbol_table) == "#######\n#Y.B..#\n#L#V.R#\n#######\n"
+        assert levels.emit_level(lf.grid) == "#######\n#R.O..#\n#Y#G.B#\n#######\n"
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_round_trip_random_quiescent(self, seed):
@@ -173,6 +271,12 @@ class TestRenderTrace:
         stars = [ln for ln in text.splitlines() if ln.startswith("*")]
         assert stars  # match steps rendered with '*'
         assert text.index("M   1") < text.index("*")
+
+    def test_cascade_text_pinned(self, corpus):
+        lf = corpus["7x6-desk-cascade"]
+        _, trace, _ = engine.apply_move(engine.QuiescentState(lf.grid), Move(3, 5, LEFT))
+        assert levels.render_trace(trace, lf.symbol_table) == CASCADE_TRACE
+        assert levels.render_trace(trace) == CASCADE_TRACE_CANONICAL
 
     def test_deterministic(self, corpus):
         lf = corpus["6x3-desk-gap3"]

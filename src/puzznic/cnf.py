@@ -18,6 +18,23 @@ from typing import Iterable
 _VALUE_NAMES = {-1: "wall", 0: "empty"}
 
 
+def _joined(m: tuple) -> str:
+    return "/".join(map(str, m))
+
+
+# Tag -> formatter of a meaning for `VarMap.describe`; other tags are joined.
+_DESCRIBE = {
+    "aux": lambda m: None,
+    "cell": lambda m: f"cell[{m[1]},{m[2]},{m[3]}]={_VALUE_NAMES.get(m[4]) or f'p{m[4]}'}",
+    "movesel": lambda m: f"move[{m[1]},{m[2]},{m[3]},{'L' if m[4] < 0 else 'R'}]",
+    "matching": lambda m: f"matching[{m[1]}]",
+    "matchflag": lambda m: f"matchflag[{m[1]},{m[2]},{m[3]}]",
+    "mapsto": lambda m: f"mapsto[{m[1]},{m[2]},{m[3]}]={m[4]}",
+    "moving": lambda m: f"moving[{m[1]}]",
+    "dummy": lambda m: f"dummy[{m[1]}]",
+}
+
+
 class VarMap:
     """Bijection between CNF variables and tagged meanings.
 
@@ -63,28 +80,7 @@ class VarMap:
     def describe(self, var: int) -> str | None:
         """Human meaning for the DIMACS comment map; None for auxiliaries."""
         m = self._by_var[var - 1]
-        tag = m[0]
-        if tag == "aux":
-            return None
-        if tag == "cell":
-            _, s, r, c, v = m
-            return f"cell[{s},{r},{c}]={_VALUE_NAMES.get(v) or f'p{v}'}"
-        if tag == "movesel":
-            _, s, r, c, d = m
-            return f"move[{s},{r},{c},{'L' if d < 0 else 'R'}]"
-        if tag == "matching":
-            return f"matching[{m[1]}]"
-        if tag == "matchflag":
-            _, s, r, c = m
-            return f"matchflag[{s},{r},{c}]"
-        if tag == "mapsto":
-            _, s, r, c, dest = m
-            return f"mapsto[{s},{r},{c}]={dest}"
-        if tag == "moving":
-            return f"moving[{m[1]}]"
-        if tag == "dummy":
-            return f"dummy[{m[1]}]"
-        return "/".join(str(x) for x in m)
+        return _DESCRIBE.get(m[0], _joined)(m)
 
     def iter_meanings(self):
         for i, m in enumerate(self._by_var, start=1):
@@ -111,8 +107,8 @@ class ClauseBuilder:
 class CnfInstance:
     """A propositional encoding plus the meaning of its variables.
 
-    `meta` records the mode ("fixed" or "varmoves"), the horizon, the level
-    and, in varmoves mode, the move bound.  `branch_hints` lists the action
+    `meta` records the mode ("fixed" or "varmoves"), the horizon and the
+    level, which `decode_model` reads.  `branch_hints` lists the action
     variables a solver may branch on first.
     """
 

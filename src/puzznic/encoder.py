@@ -509,17 +509,18 @@ class _Encoder:
                 out.append((-q, before[j], before[j - 1]))
         self.non_moves = now
 
-    def finish(self, meta: dict) -> CnfInstance:
+    def finish(self) -> CnfInstance:
+        """The formula so far, up to the last step added."""
         return CnfInstance(
             num_vars=len(self.vm),
             clauses=tuple(self.b.clauses),
             varmap=self.vm,
-            meta=meta,
+            meta={"mode": self.mode, "horizon": self.S, "level": self.level},
             branch_hints=tuple(self.hints),
         )
 
 
-def _encode(level: Grid, mode: str, horizon: int, **meta) -> CnfInstance:
+def _encode(level: Grid, mode: str, horizon: int) -> CnfInstance:
     """The solving route's formula grown to `horizon`, without partner
     clauses, with what the route assumes at that horizon as unit clauses.
     The goal literals of lower horizons stay free."""
@@ -531,7 +532,7 @@ def _encode(level: Grid, mode: str, horizon: int, **meta) -> CnfInstance:
         enc.emit_goal(horizon, ())
         assumed = enc.non_moves[-1:]
     enc.b.clauses.extend([(lit,) for lit in assumed])
-    return enc.finish({"mode": mode, "horizon": horizon, "level": level, **meta})
+    return enc.finish()
 
 
 def encode_fixed(level: Grid, n_steps: int) -> CnfInstance:
@@ -556,7 +557,7 @@ def encode_varmoves(level: Grid, max_moves: int) -> CnfInstance:
     horizon = max_moves + max_match_steps(level)
     if horizon > MAX_HORIZON:
         raise HorizonTooLarge(f"ministep horizon {horizon} exceeds {MAX_HORIZON}")
-    return _encode(level, "varmoves", horizon, max_moves=max_moves)
+    return _encode(level, "varmoves", horizon)
 
 
 def _grid_from_model(instance: CnfInstance, assignment, s: int, values) -> Grid:
@@ -737,9 +738,6 @@ def solve_iterative(
         if model is None:
             enc.b.clauses.append(tuple([-lit for lit in assumed]))
             continue
-        meta = {"mode": mode, "horizon": n, "level": level}
-        if mode == "varmoves":
-            meta["max_moves"] = n - enc.max_matches
-        decoded = decode_model(enc.finish(meta), model)
+        decoded = decode_model(enc.finish(), model)
         return done(SearchResult(Solved(decoded.plan, decoded.trace), stats))
     return done(SearchResult(ProvedUnsolvable(bound), stats))

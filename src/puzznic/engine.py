@@ -264,11 +264,14 @@ def _find_matches(grid: Grid, cols) -> set[tuple[int, int]]:
 
 
 def remove_matches(grid: Grid, positions: set[tuple[int, int]]) -> Grid:
-    """Simultaneously empty the given cells; each must hold a pattern block."""
+    """Simultaneously empty the given cells; each must hold a pattern block.
+    Only the rows written are rebuilt."""
+    h, w, rows = grid.height, grid.width, list(grid.cells)
     for r, c in positions:
-        if grid.at(r, c) <= EMPTY:
+        if not (1 < r < h and 1 < c < w) or rows[r - 1][c - 1] <= EMPTY:
             raise PositionNotPatterned(f"cell ({r}, {c}) holds no pattern block")
-    return grid.replace({pos: EMPTY for pos in positions})
+        rows[r - 1] = rows[r - 1][: c - 1] + (EMPTY,) + rows[r - 1][c:]
+    return Grid._trusted(tuple(rows))
 
 
 def resolve(grid: Grid) -> tuple[QuiescentState, tuple[Event, ...], int]:
@@ -314,29 +317,29 @@ def legal_moves(state: QuiescentState) -> tuple[Move, ...]:
 
 
 def apply_move(state: QuiescentState, move: Move) -> tuple[QuiescentState, Trace, int]:
-    """Slide one block, then resolve the resulting cascade.
+    """Slide one block, then resolve the resulting cascade to its end.
 
     The moved block falls to rest before any matching happens, and blocks
-    stacked on the vacated cell fall too.  Returns the new quiescent state,
-    the full trace (move event plus resolve events), and the match count.
+    stacked on the vacated cell fall too.  Raises IllegalMove unless the
+    source is an interior block and the target empty.  Returns the new
+    quiescent state, the full trace (move event plus resolve events), and
+    the match count.  Each call is one whole step, the move and its cascade
+    to the end; `verify_trace` accepts only traces made of such steps, so
+    not one cut mid-cascade or one that moves while a match is pending.
     """
     grid = state.grid
-    moved = _slide(grid, move)
-    new_state, cascade, matches = _resolve(moved, (move.col - 1, move.col + move.dir - 1))
-    return new_state, Trace(grid, (MoveEvent(move, moved), *cascade)), matches
-
-
-def _slide(grid: Grid, move: Move) -> Grid:
-    """The grid with `move`'s block in the empty cell beside it, before
-    anything falls; raises IllegalMove if the move is not legal there."""
     r, c, d = move.row, move.col, move.dir
     if not (2 <= r <= grid.height - 1 and 2 <= c <= grid.width - 1):
         raise IllegalMove(f"move source ({r}, {c}) is not an interior cell")
-    if grid.at(r, c) <= EMPTY:
+    row = list(grid.cells[r - 1])
+    if row[c - 1] <= EMPTY:
         raise IllegalMove(f"no block to move at ({r}, {c})")
-    if grid.at(r, c + d) != EMPTY:
+    if row[c + d - 1] != EMPTY:
         raise IllegalMove(f"target cell ({r}, {c + d}) is not empty")
-    return grid.replace({(r, c): EMPTY, (r, c + d): grid.at(r, c)})
+    row[c - 1], row[c + d - 1] = EMPTY, row[c - 1]
+    moved = Grid._trusted((*grid.cells[: r - 1], tuple(row), *grid.cells[r:]))
+    new_state, cascade, matches = _resolve(moved, (c - 1, c + d - 1))
+    return new_state, Trace(grid, (MoveEvent(move, moved), *cascade)), matches
 
 
 def replay(grid: Grid, moves) -> tuple[Trace, int | None, str | None]:
@@ -625,28 +628,20 @@ class Board:
 
 
 def verify_trace(trace: Trace) -> bool:
-    """Replay the events from the initial grid under the rules; never raises.
+    """True iff the trace is the rules' own playback of its moves; never raises.
 
-    A move must be one `apply_move` accepts there, a fall one `settle` that
-    moves a block, and a match must come on a settled grid and remove
-    exactly its `find_matches`, at least one cell.  Each `after` must be
-    the grid so replayed.
+    The initial grid is resolved, then each `MoveEvent`'s move goes through
+    `apply_move`, and the events so made must equal the trace's.  So a
+    trace cut mid-cascade, or one that moves while a fall or match is
+    pending, is rejected, as is an illegal move or a wrong `after`.
     """
-    grid = trace.initial
+    state, events, _ = resolve(trace.initial)
+    played = list(events)
     for event in trace.events:
         if isinstance(event, MoveEvent):
             try:
-                grid = _slide(grid, event.move)
+                state, step, _ = apply_move(state, event.move)
             except IllegalMove:
                 return False
-        elif isinstance(event, FallEvent):
-            grid, fell = settle(grid)
-            if not fell:
-                return False
-        elif event.removed and event.removed == find_matches(grid) and find_unsettled(grid) is None:
-            grid = remove_matches(grid, event.removed)
-        else:
-            return False
-        if grid != event.after:
-            return False
-    return True
+            played.extend(step.events)
+    return played == list(trace.events)

@@ -166,12 +166,14 @@ def emit_level(grid: Grid, symbols: Mapping[str, int] | None = None) -> str:
     With `symbols` (the parse-time symbol table) the original pattern letters
     are kept; otherwise ids map to the canonical alphabet in order.
     """
-    table = _char_table(symbols)
+    table = char_table(symbols)
     return "".join("".join(map(table.__getitem__, row)) + "\n" for row in grid.cells)
 
 
-def _char_table(symbols: Mapping[str, int] | None) -> dict[int, str]:
-    """Cell value -> character for `emit_level` and `render_trace`."""
+def char_table(symbols: Mapping[str, int] | None) -> dict[int, str]:
+    """Cell value -> character for `emit_level`, `render_trace` and the
+    PDDL pattern names: the symbol table's letters where it has them,
+    else the canonical alphabet."""
     table = dict(enumerate(PATTERN_CHARS, start=1))
     table.update((pid, ch) for ch, pid in (symbols or {}).items())
     table.update({WALL: "#", EMPTY: "."})
@@ -221,7 +223,7 @@ def render_trace(trace: Trace, symbols: Mapping[str, int] | None = None) -> str:
     Each block is tagged with the event kind (M move, F fall, * match) and a
     1-based step index; the initial grid appears first, untagged, as step 0.
     """
-    table, blocks = _char_table(symbols), []
+    table, blocks = char_table(symbols), []
     # Most rows recur from block to block, so each distinct row is drawn once.
     line = functools.cache(lambda row: "".join(map(table.__getitem__, row)))
 

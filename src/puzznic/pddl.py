@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from puzznic import engine
 from puzznic.engine import WALL, Grid
-from puzznic.levels import PATTERN_CHARS
+from puzznic.levels import char_table
 
 DOMAIN_NAME = "puzznic"
 
@@ -93,18 +93,6 @@ def _loc(r: int, c: int) -> str:
     return f"loc_{r}_{c}"
 
 
-def _pat(pid: int, symbols=None) -> str:
-    char = None
-    if symbols:
-        for ch, mapped in symbols.items():
-            if mapped == pid:
-                char = ch
-                break
-    if char is None:
-        char = PATTERN_CHARS[pid - 1]
-    return f"pat_{char.lower()}"
-
-
 def adjacency_facts(grid: Grid) -> list[tuple[str, str, str]]:
     """(from, to, dir) triples for orthogonal non-wall neighbours."""
     cells = [(r, c) for r, c in grid.interior() if grid.at(r, c) != WALL]
@@ -123,15 +111,16 @@ def export_pddl_problem(level: Grid, name: str, symbols=None) -> str:
     move-count metric."""
     engine.QuiescentState(level)  # raises EngineError unless quiescent
     cells = [(r, c) for r, c in level.interior() if level.at(r, c) != WALL]
-    patterns = sorted(engine.pattern_counts(level))
+    chars = char_table(symbols)
+    pat = {p: f"pat_{chars[p].lower()}" for p in sorted(engine.pattern_counts(level))}
     facts = adjacency_facts(level)
 
     lines = [f"(define (problem {name})", f"  (:domain {DOMAIN_NAME})"]
     objects = ["  (:objects"]
     if cells:
         objects.append("    " + " ".join(_loc(r, c) for r, c in cells) + " - location")
-    if patterns:
-        objects.append("    " + " ".join(_pat(p, symbols) for p in patterns) + " - pattern")
+    if pat:
+        objects.append("    " + " ".join(pat.values()) + " - pattern")
     objects.append("  )")
     lines.extend(objects)
     lines.append("  (:init")
@@ -141,7 +130,7 @@ def export_pddl_problem(level: Grid, name: str, symbols=None) -> str:
     for r, c in cells:
         v = level.at(r, c)
         if v > engine.EMPTY:
-            lines.append(f"    (patterned {_loc(r, c)} {_pat(v, symbols)})")
+            lines.append(f"    (patterned {_loc(r, c)} {pat[v]})")
     lines.append("  )")
     lines.append(
         "  (:goal (forall (?l - location)"

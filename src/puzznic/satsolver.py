@@ -45,7 +45,6 @@ def _luby(i: int) -> int:
 class CdclSolver:
     def __init__(self) -> None:
         self.nvars = 0
-        self.clauses: list[list[int]] = []  # problem clauses
         self.learnts: list[list[int]] = []
         # the code table: v -> 2v and -v -> 2v+1 are pos_code[v], neg_code[v]
         self.pos_code: list[int] = [0]
@@ -116,7 +115,6 @@ class CdclSolver:
                 self.ok = False
                 return False
             return True
-        self.clauses.append(out)
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
         return True
@@ -133,7 +131,6 @@ class CdclSolver:
         neg_code = self.neg_code
         value = self.value
         watches = self.watches
-        problem = self.clauses
         for lits in clauses:
             try:
                 codes = [pos_code[lit] if lit > 0 else neg_code[-lit] for lit in lits]
@@ -149,7 +146,6 @@ class CdclSolver:
                     else len({c >> 1 for c in codes}) == len(codes)
                 )
             ):
-                problem.append(codes)
                 watches[codes[0]].append(codes)
                 watches[codes[1]].append(codes)
             elif not self.add_clause(lits):

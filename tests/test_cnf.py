@@ -44,7 +44,7 @@ lit_of = lambda n: st.integers(min_value=1, max_value=n).flatmap(  # noqa: E731
 
 
 def solver_state(s: CdclSolver):
-    return (s.ok, s.nvars, s.clauses, s.trail, s.value, s.level, s.reason, s.phase)
+    return (s.ok, s.nvars, s.watches, s.trail, s.value, s.level, s.reason, s.phase)
 
 
 def frozen_instance(name: str, mode: str, bound: int) -> CnfInstance:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -153,6 +154,13 @@ class TestRemoveMatches:
         g = empty_grid(5, 5)
         with pytest.raises(PositionNotPatterned):
             engine.remove_matches(g, {(1, 1)})
+
+    @pytest.mark.parametrize("cell", [(-1, 4), (4, -1), (0, 4), (6, 4), (4, 6)])
+    def test_cell_outside_the_grid_raises(self, cell):
+        # negative indices would wrap onto the block at (4, 4)
+        g = empty_grid(5, 5).replace({(4, 4): 1})
+        with pytest.raises(PositionNotPatterned):
+            engine.remove_matches(g, {cell})
 
 
 class TestResolve:
@@ -381,6 +389,49 @@ class TestVerifyTrace:
     def test_wrong_after_rejected(self):
         event = engine.MoveEvent(Move(3, 3, RIGHT), self.GRID)
         assert engine.verify_trace(engine.Trace(self.GRID, (event,))) is False
+
+    def test_move_while_a_match_is_pending_rejected(self):
+        # the first move leaves (3, 3) and (3, 4) matching: that match must
+        # come before the next move
+        g = make_grid("########", "#......#", "#1.1..2#", "########")
+        first = g.replace({(3, 2): EMPTY, (3, 3): 1})
+        second = first.replace({(3, 7): EMPTY, (3, 6): 2})
+        moves = (Move(3, 2, RIGHT), Move(3, 7, LEFT))
+        events = (engine.MoveEvent(moves[0], first), engine.MoveEvent(moves[1], second))
+        assert engine.verify_trace(engine.Trace(g, events)) is False
+        trace, _, _ = engine.replay(g, moves)
+        assert trace.match_count == 1 and engine.verify_trace(trace)
+
+    def test_trace_cut_mid_cascade_rejected(self, corpus):
+        state = QuiescentState(corpus["7x6-desk-cascade"].grid)
+        _, trace, matches = engine.apply_move(state, Move(3, 5, LEFT))
+        assert matches == 2 and engine.verify_trace(trace)
+        cut = engine.Trace(trace.initial, trace.events[:-1])
+        assert engine.verify_trace(cut) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_playout_verifies_and_every_edit_is_rejected(self, seed):
+        rng = random.Random(seed)
+        state = oracles.random_quiescent(rng, p_wall=0.2, p_block=0.45)
+        initial, events = state.grid, []
+        for _ in range(6):
+            moves = engine.legal_moves(state)
+            if not moves:
+                break
+            state, trace, _ = engine.apply_move(state, rng.choice(moves))
+            events.extend(trace.events)
+        assert engine.verify_trace(engine.Trace(initial, tuple(events)))
+        for i, event in enumerate(events):
+            # only a last move with no cascade leaves a whole, shorter playout
+            whole = i == len(events) - 1 and isinstance(event, engine.MoveEvent)
+            dropped = (*events[:i], *events[i + 1 :])
+            assert engine.verify_trace(engine.Trace(initial, dropped)) is whole
+            for other in events:
+                if other.after != event.after:
+                    swapped = list(events)
+                    swapped[i] = dataclasses.replace(event, after=other.after)
+                    assert engine.verify_trace(engine.Trace(initial, tuple(swapped))) is False
 
 
 class TestGoalsAndCensus:

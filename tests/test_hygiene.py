@@ -157,3 +157,66 @@ def test_no_unreferenced_definitions():
 )
 def test_unreferenced_detection(source, other, unused):
     assert unreferenced({"m.py": source}, [other]) == unused
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[str]:
+    """`_`-prefixed names a module reads from another `puzznic` module:
+    imported by name, or read as an attribute of a name the module imports
+    from the package (`engine._x`, `Grid._y`, `engine.Grid._y`).  Dunder
+    names are public, and other packages are not checked."""
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "puzznic"
+        ):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "puzznic":
+                    imported.add(alias.asname or parts[0])
+                    if any(map(_private, parts)):
+                        found.append(f"{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("from puzznic.engine import _resolve\n", ["_resolve (line 1)"]),
+        ("from .engine import _resolve as r\n", ["_resolve (line 1)"]),
+        ("from puzznic import engine\nengine._resolve\n", ["engine._resolve (line 2)"]),
+        ("from puzznic.engine import Grid\nGrid._trusted(())\n", ["Grid._trusted (line 2)"]),
+        ("import puzznic.engine as e\ne.Grid._trusted\n", ["e.Grid._trusted (line 2)"]),
+        ("import puzznic.engine\npuzznic.engine._settle\n", ["puzznic.engine._settle (line 2)"]),
+        ("import puzznic._impl\n", ["puzznic._impl (line 1)"]),
+        ("from puzznic import engine\nengine.__name__\n", []),
+        ("from puzznic import engine\ngetattr(engine, 'settle')\n", []),
+        ("class A:\n    def f(self):\n        return self._x\n", []),
+        ("_x = 1\nprint(_x)\n", []),
+        ("import os\nos._exit(0)\n", []),
+    ],
+)
+def test_private_read_detection(source, reads):
+    assert private_reads(source) == reads

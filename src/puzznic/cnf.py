@@ -62,9 +62,6 @@ class VarMap:
     def var(self, *meaning) -> int:
         return self._by_meaning[meaning]
 
-    def has(self, *meaning) -> bool:
-        return meaning in self._by_meaning
-
     def aux(self) -> int:
         m = ("aux", len(self._by_var))
         self._by_meaning[m] = len(self._by_var) + 1

@@ -78,10 +78,35 @@ class DecodedPlan:
     trace: Trace
 
 
+def level_moves(level: Grid) -> list[tuple[int, int, int]]:
+    """(r, c, d) of every sideways step from a non-wall cell to a non-wall
+    cell, row-major, left first: the move selectors of each step, as
+    `_Encoder` numbers them and `decode_model` reads them."""
+    at = level.at
+    return [
+        (r, c, d)
+        for r, c in level.interior()
+        if at(r, c) != WALL
+        for d in (LEFT, RIGHT)
+        if at(r, c + d) != WALL
+    ]
+
+
 class _Encoder:
     """One level's formula: step 0 on creation, then one step per
     `add_step`.  `partners` maps a cell to the partner cells of
-    `engine.reach_partners`; every step gets their implied clauses."""
+    `engine.reach_partners`; every step gets their implied clauses.
+
+    The facts about the level are worked out once, here, and every
+    constraint group reads them:
+    - `nonwall`: the non-wall cells, row-major; `col_rows`, their rows per
+      column, columns left to right and rows top down;
+    - `seg[(r, c)]`: the rows of the cell's wall-delimited column segment.
+      A block never falls out of its segment, so the segment bounds both
+      where a moved block lands and where a match step maps a block;
+    - `moves`: `level_moves(level)`;
+    - `edges`: the orthogonal non-wall neighbour pairs, for the match flags;
+    - `values`: `EMPTY`, then the patterns."""
 
     def __init__(self, level: Grid, mode: str, partners: dict):
         self.level = level
@@ -91,27 +116,29 @@ class _Encoder:
         # a varmoves horizon of n ministeps caps the moves at n - max_matches:
         # each ministep is a move, a match or a dummy
         self.max_matches = max_match_steps(level) if mode == "varmoves" else 0
-        self.H = level.height
         self.patterns = sorted(engine.pattern_counts(level))
+        self.values = [EMPTY, *self.patterns]
         self.nonwall = [
             (r, c) for r, c in level.interior() if level.at(r, c) != WALL
         ]
-        self.nonwall_set = set(self.nonwall)
-        self.col_rows: dict[int, list[int]] = {}  # non-wall rows per column
+        self.col_rows: dict[int, list[int]] = {}
+        self.seg: dict[tuple[int, int], range] = {}
         for r, c in self.nonwall:
             self.col_rows.setdefault(c, []).append(r)
-        # wall-delimited column segments bound both falling and mapping
-        self.seg_top: dict[tuple[int, int], int] = {}
-        self.seg_bottom: dict[tuple[int, int], int] = {}
-        for r, c in self.nonwall:
-            top = r - 1
-            while (top, c) in self.nonwall_set:
-                top -= 1
-            bottom = r + 1
-            while (bottom, c) in self.nonwall_set:
-                bottom += 1
-            self.seg_top[(r, c)] = top  # wall row above the segment
-            self.seg_bottom[(r, c)] = bottom  # wall row below
+            if (r, c) not in self.seg:  # the top row of its segment
+                stop = r + 1
+                while level.at(stop, c) != WALL:
+                    stop += 1
+                seg = range(r, stop)
+                self.seg.update({(q, c): seg for q in seg})
+        self.col_rows = dict(sorted(self.col_rows.items()))
+        self.moves = level_moves(level)
+        self.edges = [
+            ((r, c), nb)
+            for r, c in self.nonwall
+            for nb in ((r + 1, c), (r, c + 1))
+            if nb in self.seg
+        ]
         self.vm = VarMap(())
         # (s, r, c, v) -> var of grid[s, r, c] == v; walls hold no variables
         self.cells: dict[tuple[int, int, int, int], int] = {}
@@ -127,29 +154,15 @@ class _Encoder:
 
     # -- variable layout ----------------------------------------------------
 
-    def _mapsto_domain(self, r: int, c: int) -> list[int]:
-        # a block can only be remapped within its own wall-delimited segment
-        return [0] + [
-            q for q in range(self.seg_top[(r, c)] + 1, self.seg_bottom[(r, c)])
-        ]
-
-    def _move_targets(self, r: int, c: int):
-        for d in (LEFT, RIGHT):
-            if (r, c + d) in self.nonwall_set:
-                yield d
-
     def _meanings(self, s: int):
-        out = [
-            ("cell", s, r, c, v) for r, c in self.nonwall for v in [EMPTY] + self.patterns
-        ]
+        out = [("cell", s, r, c, v) for r, c in self.nonwall for v in self.values]
         if s:
             out.append(("matching", s))
+            out += [("movesel", s, *m) for m in self.moves]
             for r, c in self.nonwall:
-                for d in self._move_targets(r, c):
-                    out.append(("movesel", s, r, c, d))
                 out.append(("matchflag", s - 1, r, c))
-                for q in self._mapsto_domain(r, c):
-                    out.append(("mapsto", s - 1, r, c, q))
+                # q = 0: not mapped
+                out += [("mapsto", s - 1, r, c, q) for q in (0, *self.seg[r, c])]
             if self.mode == "varmoves":
                 out.append(("moving", s))
                 out.append(("dummy", s))
@@ -168,16 +181,12 @@ class _Encoder:
     def msels(self, s: int) -> list[tuple[tuple[int, int, int], int]]:
         """((r, c, d), selector) of every move at step s, row-major, left first."""
         var = self.vm.var
-        return [
-            ((r, c, d), var("movesel", s, r, c, d))
-            for r, c in self.nonwall
-            for d in self._move_targets(r, c)
-        ]
+        return [(m, var("movesel", s, *m)) for m in self.moves]
 
     def _keeps(self, s: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Per non-wall cell, its value pairs (-old, new) over the transition
         s-1 -> s: the clauses (-old or new) keep the cell as it was."""
-        cells, values = self.cells, [EMPTY] + self.patterns
+        cells, values = self.cells, self.values
         return {
             (r, c): [(-cells[s - 1, r, c, v], cells[s, r, c, v]) for v in values]
             for r, c in self.nonwall
@@ -212,12 +221,13 @@ class _Encoder:
         self.emit_mode_selection(n)
         self.emit_mapsto(n)
         self.emit_match_transition(n)
-        self.emit_moves(n)
+        keep = self._keeps(n)
+        self.emit_moves(n, keep)
         self.emit_partners(n)
         if self.mode == "varmoves":
             if n > 1:
                 self.b.clauses.append((-self.vm.var("dummy", n - 1), self.vm.var("dummy", n)))
-            self._emit_frozen(n)
+            self._emit_frozen(n, keep)
             self._emit_non_moves(n, self.max_matches)
         if goal is None:
             return ()
@@ -226,7 +236,7 @@ class _Encoder:
     def emit_one_hot_cells(self, s: int):
         cells, out = self.cells, self.b.clauses
         for r, c in self.nonwall:
-            lits = tuple([cells[s, r, c, v] for v in [EMPTY] + self.patterns])
+            lits = tuple([cells[s, r, c, v] for v in self.values])
             out.append(lits)
             self.b.at_most_one(lits)
 
@@ -244,20 +254,15 @@ class _Encoder:
         # a block never rests on an empty cell, at any step
         cells, patterns, out = self.cells, self.patterns, self.b.clauses
         for r, c in self.nonwall:
-            if (r + 1, c) in self.nonwall_set:
+            if r + 1 in self.seg[r, c]:
                 not_below = -cells[s, r + 1, c, EMPTY]
                 out.extend([(-cells[s, r, c, p], not_below) for p in patterns])
 
     def emit_match_flags(self, s: int):
         # matchflag[s-1,r,c] <-> cell holds a pattern shared with a neighbour
-        edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        for r, c in self.nonwall:
-            for nr, nc in ((r + 1, c), (r, c + 1)):
-                if (nr, nc) in self.nonwall_set:
-                    edges.append(((r, c), (nr, nc)))
         cells, out, aux = self.cells, self.b.clauses, self.vm.aux
         incident: dict[tuple[int, int], list[int]] = {rc: [] for rc in self.nonwall}
-        for a, b in edges:
+        for a, b in self.edges:
             for p in self.patterns:
                 t = aux()
                 la = cells[(s - 1, *a, p)]
@@ -299,7 +304,7 @@ class _Encoder:
         # mappings to each row of its segment, for the order pairs below
         order: dict[tuple[int, int], tuple] = {}
         for r, c in self.nonwall:
-            lits = [var("mapsto", s - 1, r, c, q) for q in self._mapsto_domain(r, c)]
+            lits = [var("mapsto", s - 1, r, c, q) for q in (0, *self.seg[r, c])]
             zero = lits[0]  # q = 0: not mapped
             mf = var("matchflag", s - 1, r, c)
             empty = self.cells[s - 1, r, c, EMPTY]
@@ -314,10 +319,8 @@ class _Encoder:
             order[(r, c)] = (mf, empty, [-lit for lit in lits[1:]])
         # order preservation within each column segment
         for r, c in self.nonwall:
-            rb = r + 1
-            while (rb, c) in self.nonwall_set:
+            for rb in range(r + 1, self.seg[r, c].stop):
                 self._emit_order_pair(-matching, order[(r, c)], order[(rb, c)])
-                rb += 1
 
     def _emit_order_pair(self, not_matching: int, upper: tuple, lower: tuple):
         # two surviving blocks of one segment, the upper one at row r above
@@ -340,7 +343,7 @@ class _Encoder:
         by_target: dict[tuple[int, int], list[int]] = {}
         for r, c in self.nonwall:
             was = [-cells[s - 1, r, c, p] for p in self.patterns]
-            for q in self._mapsto_domain(r, c)[1:]:
+            for q in self.seg[r, c]:
                 mt = var("mapsto", s - 1, r, c, q)
                 by_target.setdefault((q, c), []).append(mt)
                 out.extend(
@@ -354,9 +357,8 @@ class _Encoder:
             sources = by_target.get((r, c), ())
             out.append((not_matching, *sources, cells[s, r, c, EMPTY]))
 
-    def emit_moves(self, s: int):
+    def emit_moves(self, s: int, keep):
         cells, patterns, out = self.cells, self.patterns, self.b.clauses
-        keep = self._keeps(s)
         msels = self.msels(s)
         dest_vars = {qc: self.vm.aux() for qc in self.nonwall}
         self.b.at_most_one(list(dest_vars.values()))
@@ -368,7 +370,7 @@ class _Encoder:
             if not_dummy is not None:
                 out.append((not_dummy, not_dv))
             # something solid beneath the landing row
-            if (q + 1, c) in self.nonwall_set:
+            if q + 1 in self.seg[q, c]:
                 out.append((not_dv, -cells[s - 1, q + 1, c, EMPTY]))
             # frame: the rest of the destination column is untouched
             out.extend(
@@ -386,7 +388,7 @@ class _Encoder:
             out.append((not_sel, -cells[s - 1, r, c, EMPTY]))
             out.append((not_sel, cells[s - 1, r, c2, EMPTY]))
             # the block lands somewhere below the target, inside its segment
-            landing = [(q, dest_vars[(q, c2)]) for q in range(r, self.seg_bottom[(r, c2)])]
+            landing = [(q, dest_vars[(q, c2)]) for q in range(r, self.seg[r, c2].stop)]
             out.append((not_sel, *[dv for _, dv in landing]))
             was = [-cells[s - 1, r, c, p] for p in patterns]
             for q, dv in landing:
@@ -422,12 +424,12 @@ class _Encoder:
 
     def _source_column_bodies(self, s: int, r: int, c: int, keep) -> list[tuple]:
         cells = self.cells
-        top = self.seg_top[(r, c)]
-        empty_before = {b: cells[s - 1, b, c, EMPTY] for b in range(top + 1, r)}
+        top = self.seg[r, c].start  # the segment's top row
+        empty_before = {b: cells[s - 1, b, c, EMPTY] for b in range(top, r)}
         bodies: list[tuple] = []
-        for rho in range(top + 1, r + 1):
+        for rho in range(top, r + 1):
             gap = tuple([empty_before[b] for b in range(rho, r)])
-            if (rho - 1, c) in self.nonwall_set:
+            if rho > top:
                 bodies.extend(
                     [
                         (*gap, -cells[s - 1, rho - 1, c, p], cells[s, rho, c, p])
@@ -438,13 +440,12 @@ class _Encoder:
             else:
                 # nothing can fall from a wall: the row empties
                 bodies.append((*gap, cells[s, rho, c, EMPTY]))
-        # frame: rows above an existing gap (or above the segment wall)
-        for q in range(2, r):
-            if (q, c) not in self.nonwall_set:
-                continue
-            if q <= top:
+        # frame: rows above an existing gap (or above the segment), and
+        # everything below the vacated row, keep their values
+        for q in self.col_rows[c]:
+            if q < top or q > r:
                 bodies.extend(keep[(q, c)])
-            else:
+            elif q < r:
                 for b in range(q, r):
                     # the gap at q itself witnesses the EMPTY pair once
                     not_witness = -empty_before[b]
@@ -454,10 +455,6 @@ class _Encoder:
                             for pair in keep[(q, c)]
                         ]
                     )
-        # frame: everything below the vacated row keeps its value
-        for q in range(r + 1, self.H):
-            if (q, c) in self.nonwall_set:
-                bodies.extend(keep[(q, c)])
         return bodies
 
     def _emit_column_frames(self, s: int, msels, dest_vars: dict[tuple[int, int], int], keep):
@@ -466,7 +463,7 @@ class _Encoder:
         out = self.b.clauses
         src_col: dict[int, int] = {}
         dst_col: dict[int, int] = {}
-        for c in sorted(self.col_rows):
+        for c in self.col_rows:
             sv = src_col[c] = self.vm.aux()
             dv = dst_col[c] = self.vm.aux()
             sels = [lit for (_, c0, _), lit in msels if c0 == c]
@@ -487,10 +484,10 @@ class _Encoder:
             for p in self.patterns:
                 out.append((-cells[s, r, c, p], *[cells[s, y, x, p] for y, x in ys]))
 
-    def _emit_frozen(self, s: int) -> None:
+    def _emit_frozen(self, s: int, keep) -> None:
         # a dummy step keeps every cell
         not_d, out = -self.vm.var("dummy", s), self.b.clauses
-        for pairs in self._keeps(s).values():
+        for pairs in keep.values():
             out.extend([(not_d, *pair) for pair in pairs])
 
     def _emit_non_moves(self, s: int, k: int) -> None:
@@ -579,6 +576,7 @@ def _grid_from_model(instance: CnfInstance, assignment, s: int, values) -> Grid:
 def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
     """Read the step grids, kinds and moves of a satisfying assignment and
     check them against one replay of the moves through `engine.replay`.
+    The move selectors read are the encoder's own, `level_moves(level)`.
 
     Each move or match event of the replayed trace, with the grid after its
     fall, must equal the model's next non-dummy step; a dummy step must keep
@@ -590,6 +588,7 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
     horizon: int = instance.meta["horizon"]
     mode: str = instance.meta["mode"]
     values = [EMPTY, *sorted(engine.pattern_counts(level))]
+    selectors = level_moves(level)
 
     if _grid_from_model(instance, assignment, 0, values) != level:
         raise ModelInconsistent("model initial state differs from the level")
@@ -602,14 +601,7 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
         if assignment[vm.var("matching", s)]:
             kind = MATCH_STEP
         else:
-            selected = [
-                (r, c, d)
-                for r, c in level.interior()
-                if level.at(r, c) != WALL
-                for d in (LEFT, RIGHT)
-                if vm.has("movesel", s, r, c, d)
-                and assignment[vm.var("movesel", s, r, c, d)]
-            ]
+            selected = [m for m in selectors if assignment[vm.var("movesel", s, *m)]]
             if len(selected) > 1:
                 raise ModelInconsistent(f"step {s} selects {len(selected)} moves")
             if selected:

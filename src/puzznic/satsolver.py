@@ -318,11 +318,6 @@ class CdclSolver:
         order = self._order()
         order_pos = 0
 
-        conflict = self._propagate()
-        if conflict is not None:
-            self.ok = False
-            return None
-
         while True:
             conflict = self._propagate()
             if conflict is not None:

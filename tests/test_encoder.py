@@ -162,6 +162,31 @@ def test_route_cnf_is_pinned(corpus, name, mode, digest):
     assert h.hexdigest() == digest
 
 
+# One sha256 over seeds 0-23 of `oracles.random_quiescent(..., p_wall=0.3)`:
+# per level the `encode_fixed` and `encode_varmoves` DIMACS at n = 1, 2, 3,
+# then the route's formulas to bound 3 as `test_route_cnf_is_pinned` hashes
+# them.  21 of these levels have a column that holds an interior wall and a
+# non-wall cell (12 have non-wall cells both above and below one), so the
+# wall-delimited column segments are pinned beyond the bundled levels' 10
+# such columns.  The levels come from `random_quiescent`: a change to it,
+# or to `random_grid`, means re-recording this digest.
+WALLED_LEVELS_DIGEST = "1a2520df862f6ad26caf805ee40e26755873a62b2ff9d3c6f1bbc2fe7b4a4660"
+
+
+def test_walled_level_cnf_is_pinned():
+    h = hashlib.sha256()
+    for seed in range(24):
+        level = oracles.random_quiescent(random.Random(seed), p_wall=0.3).grid
+        for mode in ("fixed", "varmoves"):
+            for n in (1, 2, 3):
+                h.update(getattr(encoder, f"encode_{mode}")(level, n).to_dimacs().encode())
+        for mode in ("fixed", "varmoves"):
+            for instance in _encodings(level, f"iterative-{mode}", 3):
+                clauses = tuple(tuple(dict.fromkeys(clause)) for clause in instance.clauses)
+                h.update(CnfInstance(instance.num_vars, clauses, VarMap(()), {}).to_dimacs().encode())
+    assert h.hexdigest() == WALLED_LEVELS_DIGEST
+
+
 class TestReferenceWriter:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -393,17 +418,6 @@ class TestDecodeModel:
                 if level.at(r, c) != engine.WALL:
                     model[inst.varmap.var("cell", s, r, c, v)] = grid.at(r, c) == v
 
-    @staticmethod
-    def _movesels(inst, s):
-        vm = inst.varmap
-        level = inst.meta["level"]
-        return [
-            (r, c, d)
-            for r, c in level.interior()
-            for d in (engine.LEFT, engine.RIGHT)
-            if vm.has("movesel", s, r, c, d)
-        ]
-
     def _corrupt(self, inst, model, how):
         vm = inst.varmap
         level = inst.meta["level"]
@@ -414,10 +428,10 @@ class TestDecodeModel:
             r, c = next(p for p in level.interior() if grid.at(*p) == engine.EMPTY)
             model[vm.var("cell", 3, r, c, 1)] = True
         elif how == "two_moves":
-            other = next(m for m in self._movesels(inst, 1) if not model[vm.var("movesel", 1, *m)])
+            other = next(m for m in encoder.level_moves(level) if not model[vm.var("movesel", 1, *m)])
             model[vm.var("movesel", 1, *other)] = True
         elif how == "no_action":
-            for m in self._movesels(inst, 1):
+            for m in encoder.level_moves(level):
                 model[vm.var("movesel", 1, *m)] = False
         elif how == "dummy_changes":
             self._set_grid(inst, model, 4, level)
@@ -429,7 +443,7 @@ class TestDecodeModel:
             model[vm.var("matching", 3)], model[vm.var("dummy", 3)] = True, False
         elif how == "illegal_move":
             before = self._model_grid(inst, model, 1)
-            sels = self._movesels(inst, 2)
+            sels = encoder.level_moves(level)
             for m in sels:
                 model[vm.var("movesel", 2, *m)] = False
             illegal = next(
@@ -446,7 +460,7 @@ class TestDecodeModel:
             for s in range(1, inst.meta["horizon"] + 1):
                 self._set_grid(inst, model, s, level)
                 model[vm.var("matching", s)], model[vm.var("dummy", s)] = False, True
-                for m in self._movesels(inst, s):
+                for m in encoder.level_moves(level):
                     model[vm.var("movesel", s, *m)] = False
 
     @pytest.mark.parametrize(

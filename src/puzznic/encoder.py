@@ -590,14 +590,15 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
     values = [EMPTY, *sorted(engine.pattern_counts(level))]
     selectors = level_moves(level)
 
-    if _grid_from_model(instance, assignment, 0, values) != level:
+    grids = [_grid_from_model(instance, assignment, 0, values)]  # by step
+    if grids[0] != level:
         raise ModelInconsistent("model initial state differs from the level")
 
-    steps: list[tuple[int, str, Grid]] = []
+    kinds: list[str] = []
     moves: list[Move] = []
     move_steps: list[int] = []
     for s in range(1, horizon + 1):
-        grid = _grid_from_model(instance, assignment, s, values)
+        grids.append(_grid_from_model(instance, assignment, s, values))
         if assignment[vm.var("matching", s)]:
             kind = MATCH_STEP
         else:
@@ -612,7 +613,7 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
                 kind = DUMMY_STEP
             else:
                 raise ModelInconsistent(f"step {s} selects no action")
-        steps.append((s, kind, grid))
+        kinds.append(kind)
 
     trace, bad, why = engine.replay(level, moves)
     if bad is not None:
@@ -627,26 +628,24 @@ def decode_model(instance: CnfInstance, assignment) -> DecodedPlan:
             replayed.append([kind, event.after])
 
     k = 0  # trace steps matched so far
-    current = level
-    for s, kind, grid in steps:
+    for s, kind in enumerate(kinds, start=1):
         if kind == DUMMY_STEP:
-            if grid != current:
+            if grids[s] != grids[s - 1]:
                 raise ModelInconsistent(f"dummy step {s} changes the grid")
             if k < len(replayed) and replayed[k][0] == MATCH_STEP:
                 raise ModelInconsistent(f"dummy step {s} with a match pending")
             continue
         if k == len(replayed) or replayed[k][0] != kind:
             raise ModelInconsistent(f"{kind} step {s} diverges from the engine cascade")
-        if replayed[k][1] != grid:
+        if replayed[k][1] != grids[s]:
             raise ModelInconsistent(f"step {s} grid diverges from engine replay")
-        current = grid
         k += 1
     if k < len(replayed) or not engine.is_goal(trace.final):
         raise ModelInconsistent("model does not reach the goal")
 
     return DecodedPlan(
         plan=Plan(tuple(moves)),
-        step_kinds=tuple(kind for _, kind, _ in steps),
+        step_kinds=tuple(kinds),
         total_steps=k,
         trace=trace,
     )

@@ -15,6 +15,10 @@ match (it would have gone with the rest), so they are the removed cells'
 columns.  `settle`, `find_matches` and `resolve` run the same code on every
 column, so they take any grid.
 
+`replay` resolves its start grid and plays a move list into a `Trace`; it
+is the one loop over `apply_move`.  `verify_trace` is one replay plus one
+comparison, and every plan, trace and decoded SAT model is checked by a replay.
+
 `Grid`, `QuiescentState` and `Trace` are the validated public boundary.
 Search runs on `Board`, a trusted bitmask form of the same rules that is
 built once per level, packs each state into one int and validates nothing
@@ -343,13 +347,14 @@ def apply_move(state: QuiescentState, move: Move) -> tuple[QuiescentState, Trace
 
 
 def replay(grid: Grid, moves) -> tuple[Trace, int | None, str | None]:
-    """Play `moves` from a quiescent grid through `apply_move`.
+    """Resolve `grid`, which adds no event when it is quiescent, then play
+    `moves` through `apply_move`: the one loop over `apply_move`.
 
-    Returns the trace of the legal prefix, and for the first illegal move
-    its 1-based index and the reason (both None when every move is legal).
+    Returns the trace up to the first illegal move, and that move's 1-based
+    index and the reason (both None when every move is legal).
     """
-    state = QuiescentState(grid)
-    events: list[Event] = []
+    state, cascade, _ = resolve(grid)
+    events = list(cascade)
     for index, move in enumerate(moves, start=1):
         try:
             state, trace, _ = apply_move(state, move)
@@ -630,18 +635,11 @@ class Board:
 def verify_trace(trace: Trace) -> bool:
     """True iff the trace is the rules' own playback of its moves; never raises.
 
-    The initial grid is resolved, then each `MoveEvent`'s move goes through
-    `apply_move`, and the events so made must equal the trace's.  So a
-    trace cut mid-cascade, or one that moves while a fall or match is
-    pending, is rejected, as is an illegal move or a wrong `after`.
+    One `replay` of the trace's moves from its initial grid, and one
+    comparison: the events so made must equal the trace's.  So a trace cut
+    mid-cascade, or one that moves while a fall or match is pending, is
+    rejected, as is an illegal move or a wrong `after`.
     """
-    state, events, _ = resolve(trace.initial)
-    played = list(events)
-    for event in trace.events:
-        if isinstance(event, MoveEvent):
-            try:
-                state, step, _ = apply_move(state, event.move)
-            except IllegalMove:
-                return False
-            played.extend(step.events)
-    return played == list(trace.events)
+    moves = [e.move for e in trace.events if isinstance(e, MoveEvent)]
+    played, bad, _ = replay(trace.initial, moves)
+    return bad is None and played.events == tuple(trace.events)

@@ -71,7 +71,6 @@ class LevelFile:
     name: str
     grid: Grid
     symbol_table: dict[str, int] = field(default_factory=dict)
-    pre_resolve_match_events: int = 0
 
 
 def _normalize_symbol(ch: str) -> str:
@@ -84,7 +83,7 @@ def parse_level(text: str, name: str = "", pre_resolve: bool = False) -> LevelFi
     """Parse a level document into a validated, quiescent grid.
 
     Rejects non-quiescent grids unless `pre_resolve` is set, in which case
-    the grid is resolved to quiescence first and the match events counted.
+    the grid is resolved to quiescence first.
     """
     if text.startswith("﻿"):
         text = text[1:]
@@ -129,7 +128,6 @@ def parse_level(text: str, name: str = "", pre_resolve: bool = False) -> LevelFi
             raise NoPerimeter(r, width)
 
     grid = Grid(tuple(tuple(row) for row in rows))
-    match_events = 0
     floating = engine.find_unsettled(grid)
     pending = engine.find_matches(grid)
     if floating is not None or pending:
@@ -138,14 +136,8 @@ def parse_level(text: str, name: str = "", pre_resolve: bool = False) -> LevelFi
                 raise NotQuiescent(*floating, why="floating block")
             r, c = min(pending)
             raise NotQuiescent(r, c, why="pending match")
-        state, _, match_events = engine.resolve(grid)
-        grid = state.grid
-    return LevelFile(
-        name=name,
-        grid=grid,
-        symbol_table=symbols,
-        pre_resolve_match_events=match_events,
-    )
+        grid = engine.resolve(grid)[0].grid
+    return LevelFile(name=name, grid=grid, symbol_table=symbols)
 
 
 def load_level(path, pre_resolve: bool = False) -> LevelFile:

@@ -96,11 +96,10 @@ def _loc(r: int, c: int) -> str:
 def adjacency_facts(grid: Grid) -> list[tuple[str, str, str]]:
     """(from, to, dir) triples for orthogonal non-wall neighbours."""
     cells = [(r, c) for r, c in grid.interior() if grid.at(r, c) != WALL]
-    cell_set = set(cells)
     facts = []
     for r, c in cells:
         for dname, dr, dc in _DIRS:
-            if (r + dr, c + dc) in cell_set:
+            if grid.at(r + dr, c + dc) != WALL:  # the perimeter is all wall
                 facts.append((_loc(r, c), _loc(r + dr, c + dc), dname))
     return facts
 

@@ -1,7 +1,8 @@
 """A small CDCL SAT solver used as the bundled CNF backend.
 
 Two-watched-literal propagation, first-UIP clause learning, exponential
-VSIDS decay, Luby restarts, MiniSat-style assumption handling, and a
+VSIDS decay, Luby restarts, MiniSat-style assumptions (each assumption
+opens one decision level, in order, even when it is already true), and a
 learnt-clause database cut by length: past a cap, the longer half of the
 learnt clauses that are neither binary nor the reason of an assignment is
 deleted.
@@ -353,24 +354,16 @@ class CdclSolver:
                     max_learnts += 500
                 continue
 
-            # pick the next assumption, if any remain unsatisfied
+            # the next assumption opens its own level, even when already true
             lvl = len(self.trail_lim)
-            decided = False
-            while lvl < len(assumed):
+            if lvl < len(assumed):
                 a = assumed[lvl]
-                val = value[a]
-                if val == 1:
-                    self.trail_lim.append(len(self.trail))
-                    lvl += 1
-                    continue
-                if val == -1:
+                if value[a] == -1:
                     self._cancel_until(0)
                     return None
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(a, None)
-                decided = True
-                break
-            if decided:
+                if value[a] == 0:
+                    self._enqueue(a, None)
                 continue
 
             # free decision

@@ -410,6 +410,18 @@ class TestVerifyTrace:
         assert engine.verify_trace(cut) is False
 
     @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_replay_resolves_its_start_grid(self, g):
+        # grids() draws floating blocks and pending matches too
+        state, events, _ = engine.resolve(g)
+        assert engine.replay(g, ()) == (engine.Trace(g, events), None, None)
+        moves = engine.legal_moves(state)[:1]
+        step = engine.apply_move(state, moves[0])[1].events if moves else ()
+        trace, bad, _ = engine.replay(g, moves)
+        assert bad is None and trace.events == (*events, *step)
+        assert engine.verify_trace(trace)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_playout_verifies_and_every_edit_is_rejected(self, seed):
         rng = random.Random(seed)

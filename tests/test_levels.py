@@ -152,10 +152,9 @@ class TestParseLevel:
         with pytest.raises(levels.NotQuiescent):
             levels.parse_level("####\n#RR#\n####\n")
 
-    def test_pre_resolve_counts_matches(self):
+    def test_pre_resolve_clears_the_pending_match(self):
         lf = levels.parse_level("####\n#RR#\n####\n", pre_resolve=True)
         assert engine.is_goal(lf.grid)
-        assert lf.pre_resolve_match_events == 1
 
     def test_bom_stripped(self):
         lf = levels.parse_level("﻿###\n#.#\n###\n")
